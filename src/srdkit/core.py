@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class SrdError(ValueError):
@@ -180,18 +179,59 @@ class SrdDetail:
     raw_srd: np.ndarray
 
 
-def fractional_ranks(column) -> np.ndarray:
+class TieGroups:
+    """Every column of a matrix sorted once, to rank any subset of its rows.
+
+    Each cell is labelled with its column's tie group.  Labels run across
+    the whole matrix, column after column and ascending by value within a
+    column, so one ``bincount`` over a set of rows counts the selected
+    members of every group of every column at once.
+    """
+
+    def __init__(self, values: np.ndarray) -> None:
+        cols = np.ascontiguousarray(values.T)
+        order = np.argsort(cols, axis=1)  # tied values need no stable order
+        ordered = np.take_along_axis(cols, order, axis=1)
+        starts = np.ones(cols.shape, dtype=bool)
+        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        dtype = np.int32 if cols.size < 2**31 else np.int64
+        labels = np.cumsum(starts, axis=None, dtype=dtype).reshape(cols.shape) - 1
+        groups = np.empty_like(labels)
+        np.put_along_axis(groups, order, labels, axis=1)
+        self.labels = np.ascontiguousarray(groups.T)
+        self.count = int(labels[-1, -1]) + 1
+
+    def doubled_ranks(self, rows=None) -> np.ndarray:
+        """Twice the average ranks of the given rows, ranked among themselves.
+
+        A tie group preceded by e selected rows of its column and holding c
+        selected rows covers ranks e + 1 .. e + c, so its doubled average
+        rank is the integer 2e + c + 1.  All rows are ranked when ``rows``
+        is None.
+        """
+        sub = self.labels if rows is None else self.labels[rows]
+        counts = np.bincount(sub.ravel(), minlength=self.count)
+        doubled = 2 * np.cumsum(counts) - counts + 1
+        # The labels count the selected rows of every earlier column too.
+        return doubled[sub] - 2 * len(sub) * np.arange(sub.shape[1])
+
+
+def fractional_ranks(values) -> np.ndarray:
     """Rank values ascending from 1; tied values share the mean of their ranks.
 
-    Ties are detected by exact equality of the parsed numbers.  The output
-    always sums to n(n+1)/2 and every rank is a multiple of 0.5.
+    A 1-D input is one column; a 2-D input is ranked column by column in one
+    call, which is how every table-level function ranks.  Ties are detected
+    by exact equality of the parsed numbers.  Each ranked column sums to
+    n(n+1)/2 and every rank is a multiple of 0.5, so sums of rank
+    differences are exact in floating point.
     """
-    arr = np.asarray(column, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise SrdError("ranking requires a non-empty 1-D sequence")
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise SrdError("ranking requires a non-empty 1-D sequence or 2-D matrix")
     if not np.all(np.isfinite(arr)):
         raise SrdError("ranking requires finite values")
-    return rankdata(arr, method="average")
+    doubled = TieGroups(arr.reshape(arr.shape[0], -1)).doubled_ranks()
+    return (doubled / 2).reshape(arr.shape)
 
 
 def max_srd(n: int) -> int:
@@ -219,7 +259,7 @@ def rank_matrix(table: DataTable) -> RankMatrix:
         cols = _solution_indices(table, table.reference)
     else:
         cols = list(range(table.n_cols))
-    ranks = np.column_stack([fractional_ranks(table.values[:, j]) for j in cols])
+    ranks = fractional_ranks(table.values[:, cols])
     return RankMatrix(ranks, table.row_labels, tuple(table.col_labels[j] for j in cols))
 
 
@@ -233,11 +273,10 @@ def srd_values(table: DataTable, normalize: bool = True) -> SrdResult:
     if table.n_cols < 2:
         raise SrdError("SRD needs at least two columns: solutions plus a reference")
     ref_label = table.reference_label
-    ref_ranks = fractional_ranks(table.column(ref_label))
+    ranks = fractional_ranks(table.values)
+    ref = table.col_labels.index(ref_label)
     sol = _solution_indices(table, ref_label)
-    raw = np.array(
-        [np.abs(fractional_ranks(table.values[:, j]) - ref_ranks).sum() for j in sol]
-    )
+    raw = np.abs(ranks[:, sol] - ranks[:, [ref]]).sum(axis=0)
     f = max_srd(table.n_rows)
     # n = 1 gives f = 0, but then both rankings coincide and raw is 0.
     normalized = raw / f if f else np.zeros_like(raw)
@@ -262,10 +301,11 @@ def detailed_srd(table: DataTable) -> SrdDetail:
         raise SrdError("SRD needs at least two columns: solutions plus a reference")
     ref_label = table.reference_label
     ref_values = table.column(ref_label)
-    ref_ranks = fractional_ranks(ref_values)
+    all_ranks = fractional_ranks(table.values)
+    ref_ranks = all_ranks[:, table.col_labels.index(ref_label)].copy()
     sol = _solution_indices(table, ref_label)
     values = table.values[:, sol]
-    ranks = np.column_stack([fractional_ranks(values[:, k]) for k in range(len(sol))])
+    ranks = all_ranks[:, sol]
     distances = np.abs(ranks - ref_ranks[:, None])
     return SrdDetail(
         row_labels=table.row_labels,

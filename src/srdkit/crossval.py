@@ -6,6 +6,11 @@ recomputed on each retained subset, and consecutive solutions in the
 median-ordered ranking are tested pairwise (signed-rank, paired-replication
 t, or paired-replication F).
 
+Fold ranks come from one sort per column of the whole table: a fold's
+doubled ranks follow from counting its rows in each tie group.  They equal
+the ranks of the fold's rows ranked anew, so scores, reports and replay
+files are the same bit for bit either way.
+
 Fold SRD values live on the grid of multiples of 0.5/max_srd(retained
 rows).  Differences between such values are formed in exact rational
 arithmetic: float subtraction perturbs exact ties in |difference| by an
@@ -22,7 +27,7 @@ import numpy as np
 from scipy.stats import f as f_distribution
 from scipy.stats import t as t_distribution
 
-from .core import DataTable, SrdError, fractional_ranks, max_srd
+from .core import DataTable, SrdError, TieGroups, max_srd
 
 TESTS = ("wilcoxon", "dietterich", "alpaydin")
 FOLD_KINDS = ("subsample", "half_split")
@@ -53,15 +58,34 @@ class FoldScheme:
     def __post_init__(self) -> None:
         if self.kind not in FOLD_KINDS:
             raise SrdError(f"unknown fold kind {self.kind!r}")
-        folds = tuple(tuple(int(i) for i in fold) for fold in self.folds)
+        folds = tuple(_checked_fold(fold) for fold in self.folds)
         object.__setattr__(self, "folds", folds)
         if len(folds) != self.k:
             raise SrdError(f"expected {self.k} folds, got {len(folds)}")
-        for fold in folds:
-            if len(fold) < 2:
-                raise SrdError("every fold must retain at least 2 rows")
-            if len(set(fold)) != len(fold) or min(fold) < 0:
-                raise SrdError("fold indices must be unique and nonnegative")
+
+
+def _checked_fold(fold) -> tuple[int, ...]:
+    """One fold's row indices as a tuple of Python ints, after validation.
+
+    A tuple that already holds only Python ints is kept as it is, so folds
+    drawn by ``make_folds`` keep sharing one int object per row.
+    """
+    if not isinstance(fold, (tuple, list, np.ndarray)):
+        fold = tuple(fold)
+    shared = type(fold) is tuple and {*map(type, fold)} == {int}
+    try:
+        arr = (np.fromiter(fold, dtype=np.int64, count=len(fold)) if shared
+               else np.asarray(fold))
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise SrdError("fold indices must be integers")
+    if arr.size < 2:
+        raise SrdError("every fold must retain at least 2 rows")
+    ordered = arr if np.all(arr[1:] > arr[:-1]) else np.sort(arr)
+    if ordered[0] < 0 or np.any(ordered[1:] == ordered[:-1]):
+        raise SrdError("fold indices must be unique and nonnegative")
+    return fold if shared else tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -114,20 +138,25 @@ def make_folds(n: int, k: int, kind: str = "subsample",
         drop = -(-n // k)  # ceil(n/k)
         if n - drop < 2:
             raise SrdError(f"removing {drop} of {n} rows leaves fewer than 2")
-        everything = set(range(n))
-        for _ in range(k):
-            removed = rng.choice(n, size=drop, replace=False)
-            folds.append(tuple(sorted(everything - set(removed.tolist()))))
     else:
         if k % 2:
             raise SrdError("half-split folds need an even fold count")
         if n // 2 < 2:
             raise SrdError(f"half-split folds need at least 4 rows, got {n}")
-        larger = (n + 1) // 2
+    # Every fold picks its rows from one set of int objects, so k folds over
+    # a long table hold n ints rather than k * n.
+    rows = np.arange(n).astype(object)
+    if kind == "subsample":
+        for _ in range(k):
+            kept = np.ones(n, dtype=bool)
+            kept[rng.choice(n, size=drop, replace=False)] = False
+            folds.append(tuple(rows[kept].tolist()))
+    else:
         for _ in range(k // 2):
-            perm = rng.permutation(n)
-            folds.append(tuple(sorted(perm[:larger].tolist())))
-            folds.append(tuple(sorted(perm[larger:].tolist())))
+            first = np.zeros(n, dtype=bool)
+            first[rng.permutation(n)[:(n + 1) // 2]] = True
+            folds.append(tuple(rows[first].tolist()))
+            folds.append(tuple(rows[~first].tolist()))
     return FoldScheme(kind, tuple(folds), k, seed)
 
 
@@ -135,27 +164,29 @@ def _fold_raw_units(table: DataTable, scheme: FoldScheme):
     """Doubled raw SRD per fold and solution, plus each fold's max SRD.
 
     Doubling makes every entry an exact integer (ranks are half-integers),
-    so fold scores can be carried as exact fractions units / (2 * f).
+    so fold scores can be carried as exact fractions units / (2 * f).  The
+    table is sorted once per column; each fold's ranks then come from
+    counting its rows in every tie group, which gives the same integers as
+    ranking the fold's rows anew.
     """
     ref_label = table.reference_label
     ref_idx = table.col_labels.index(ref_label)
     sol_idx = [j for j in range(table.n_cols) if j != ref_idx]
     if not sol_idx:
         raise SrdError("cross-validation needs at least one solution column")
+    groups = TieGroups(table.values)
     units = np.zeros((len(scheme.folds), len(sol_idx)), dtype=np.int64)
     f_values = np.zeros(len(scheme.folds), dtype=np.int64)
     for fi, keep in enumerate(scheme.folds):
-        if max(keep) >= table.n_rows:
+        rows = np.fromiter(keep, dtype=np.intp, count=len(keep))
+        if rows.max() >= table.n_rows:
             raise SrdError(
-                f"fold {fi + 1} refers to row {max(keep)}, "
+                f"fold {fi + 1} refers to row {rows.max()}, "
                 f"but the table has {table.n_rows} rows"
             )
-        sub = table.values[list(keep), :]
-        ref_ranks = fractional_ranks(sub[:, ref_idx])
-        for sj, j in enumerate(sol_idx):
-            raw = np.abs(fractional_ranks(sub[:, j]) - ref_ranks).sum()
-            units[fi, sj] = round(raw * 2)
-        f_values[fi] = max_srd(len(keep))
+        ranks = groups.doubled_ranks(rows)
+        units[fi] = np.abs(ranks - ranks[:, [ref_idx]]).sum(axis=0)[sol_idx]
+        f_values[fi] = max_srd(rows.size)
     labels = tuple(table.col_labels[j] for j in sol_idx)
     return units, f_values, labels
 

@@ -247,27 +247,58 @@ def write_replay(report: CrossValReport, path, delimiter: str = ";") -> None:
 
 
 def read_replay(path, delimiter: str = ";") -> tuple[str, FoldScheme]:
-    """Load a replay file back into (test kind, fold scheme)."""
+    """Load a replay file back into (test kind, fold scheme).
+
+    Malformed content raises SrdError naming the offending line.
+    """
     path = Path(path)
+    fields: dict[str, tuple[int, list[str]]] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
-    fields = {row[0]: row[1:] for row in rows}
+        reader = csv.reader(handle, delimiter=delimiter)
+        for row in reader:
+            if row:
+                fields[row[0]] = (reader.line_num, row[1:])
     for required in ("test", "kind", "k", "seed"):
         if required not in fields:
             raise SrdError(f"{path}: replay file is missing the {required!r} line")
-    test = fields["test"][0]
+    test = _replay_word(path, fields, "test")
     if test not in TESTS:
         raise SrdError(f"{path}: unknown test {test!r} in replay file")
-    k = int(fields["k"][0])
-    seed_text = fields["seed"][0]
-    seed = None if seed_text == "none" else int(seed_text)
+    kind = _replay_word(path, fields, "kind")
+    k = _replay_ints(path, fields, "k", [_replay_word(path, fields, "k")])[0]
+    seed_text = _replay_word(path, fields, "seed")
+    seed = None if seed_text == "none" else _replay_ints(
+        path, fields, "seed", [seed_text])[0]
     folds = []
     for i in range(k):
         key = f"fold_{i + 1}"
         if key not in fields:
             raise SrdError(f"{path}: replay file is missing {key!r}")
-        folds.append(tuple(int(idx) for idx in fields[key]))
-    return test, FoldScheme(fields["kind"][0], tuple(folds), k, seed)
+        folds.append(tuple(_replay_ints(path, fields, key, fields[key][1])))
+    try:
+        return test, FoldScheme(kind, tuple(folds), k, seed)
+    except SrdError as exc:
+        raise SrdError(f"{path}: {exc}") from None
+
+
+def _replay_word(path, fields, key: str) -> str:
+    line, cells = fields[key]
+    if not cells or not cells[0].strip():
+        raise SrdError(f"{path}: line {line}: {key!r} has no value")
+    return cells[0]
+
+
+def _replay_ints(path, fields, key: str, cells: list[str]) -> list[int]:
+    line = fields[key][0]
+    values = []
+    for cell in cells:
+        try:
+            values.append(int(cell))
+        except ValueError:
+            raise SrdError(
+                f"{path}: line {line}: {key!r} must be an integer, got {cell!r}"
+            ) from None
+    return values
 
 
 def write_report(report, path, delimiter: str = ";") -> None:

@@ -131,6 +131,24 @@ def test_crossval_report_and_replay(capsys, tmp_path, bundesliga_csv):
     assert (tmp_path / "again_crossval.csv").read_bytes() == report
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("k;8", "k;eight", "line 3"),
+    ("fold_2;", "fold_2;2.5;", "line 6"),
+])
+def test_malformed_replay_exits_two(capsys, tmp_path, bundesliga_csv, old, new, line):
+    prefix = str(tmp_path / "cv")
+    assert main(["crossval", bundesliga_csv, "--seed", "4", "-o", prefix]) == 0
+    capsys.readouterr()
+    replay = tmp_path / "cv_replay.csv"
+    text = replay.read_text()
+    assert old in text
+    replay.write_text(text.replace(old, new, 1))
+    assert main(["crossval", bundesliga_csv, "--replay", str(replay), "--no-save"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("srd: error: ") and f"{line}:" in err
+    assert "Traceback" not in err
+
+
 def test_crossval_plot_emits_chart_files(capsys, tmp_path, bundesliga_csv):
     assert main(["crossval", bundesliga_csv, "--seed", "5", "--plot",
                  "-o", str(tmp_path / "cvp")]) == 0

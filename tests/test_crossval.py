@@ -64,6 +64,21 @@ class TestMakeFolds:
         with pytest.raises(SrdError):
             sk.FoldScheme("subsample", ((0, 1),), 2)
 
+    @pytest.mark.parametrize("fold", [(0, 1, 2.5), (0.0, 1.0), ("0", "1"), (True, False)])
+    def test_scheme_rejects_non_integer_indices(self, fold):
+        with pytest.raises(SrdError, match="integers"):
+            sk.FoldScheme("subsample", (fold,), 1)
+
+    def test_scheme_holds_python_ints(self):
+        scheme = sk.FoldScheme("half_split", (np.array([3, 1]), [np.int64(0), 2]), 2)
+        assert scheme.folds == ((3, 1), (0, 2))
+        assert all(type(i) is int for fold in scheme.folds for i in fold)
+
+    def test_drawn_folds_share_one_int_per_row(self):
+        scheme = sk.make_folds(1000, 4, seed=1)
+        ids = {id(i) for fold in scheme.folds for i in fold}
+        assert len(ids) == len({i for fold in scheme.folds for i in fold})
+
 
 class TestCrossvalSrd:
     def test_full_fold_equals_plain_srd(self, bundesliga):

@@ -134,6 +134,40 @@ class TestRoundTrips:
             write_replay(report, tmp_path / "nope.csv")
 
 
+_REPLAY = "test;wilcoxon\nkind;subsample\nk;2\nseed;7\nfold_1;0;1;2\nfold_2;3;4;5\n"
+
+
+class TestReadReplay:
+    def test_well_formed_file(self, tmp_path):
+        path = tmp_path / "replay.csv"
+        path.write_text(_REPLAY)
+        test, scheme = read_replay(path)
+        assert test == "wilcoxon"
+        assert scheme == sk.FoldScheme("subsample", ((0, 1, 2), (3, 4, 5)), 2, 7)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("k;2", "k;eight", "line 3: 'k' must be an integer, got 'eight'"),
+        ("k;2", "k", "line 3: 'k' has no value"),
+        ("seed;7", "seed;7.5", "line 4: 'seed' must be an integer, got '7.5'"),
+        ("fold_2;3;4;5", "fold_2;3;2.5;5", "line 6: 'fold_2' must be an integer, got '2.5'"),
+        ("fold_1;0;1;2", "fold_1;0;1;2;", "line 5: 'fold_1' must be an integer, got ''"),
+        ("kind;subsample", "kind;", "line 2: 'kind' has no value"),
+        ("test;wilcoxon", "test", "line 1: 'test' has no value"),
+    ])
+    def test_malformed_values_name_the_line(self, tmp_path, old, new, message):
+        path = tmp_path / "replay.csv"
+        path.write_text(_REPLAY.replace(old, new))
+        with pytest.raises(SrdError) as exc:
+            read_replay(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_invalid_fold_is_reported_with_the_file(self, tmp_path):
+        path = tmp_path / "replay.csv"
+        path.write_text(_REPLAY.replace("fold_2;3;4;5", "fold_2;3;3;5"))
+        with pytest.raises(SrdError, match="replay.csv: fold indices must be unique"):
+            read_replay(path)
+
+
 class TestReportFormats:
     def test_srd_result_row_has_seven_decimals(self, tmp_path, bundesliga):
         path = tmp_path / "values.csv"
