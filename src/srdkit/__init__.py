@@ -61,7 +61,6 @@ from .tableio import (
     read_replay,
     read_table,
     write_chart_files,
-    write_report,
 )
 
 __version__ = "0.1.0"
@@ -81,6 +80,5 @@ __all__ = [
     "pairwise_srd", "plot_crossval", "plot_heatmap", "plot_perm_test",
     "ReferenceSpec", "create_reference", "preprocess_table",
     "TableFileSpec", "read_replay", "read_table", "write_chart_files",
-    "write_report",
     "__version__",
 ]

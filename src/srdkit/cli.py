@@ -9,6 +9,7 @@ report and writes the same report under the output prefix.  Exit status is
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -242,7 +243,9 @@ def _cmd_heatmap(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full subcommand tree, built once; each parse returns a fresh namespace."""
     parser = _Parser(prog="srd", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True,
                                      parser_class=_Parser)

@@ -25,6 +25,7 @@ OPTIONS = ("n", "r", "t", "p", "d", "f")
 EXACT_MAX_N = 10
 
 _CHUNK = 1 << 16  # samples per RNG sub-stream; fixed so worker count cannot matter
+_BLOCK = 1 << 16  # elements drawn at once within a sub-stream; bounds working memory
 
 
 class CrrnVerdict(enum.Enum):
@@ -113,65 +114,88 @@ def random_tied_ranking(n: int, tie_prob: float, rng: np.random.Generator) -> np
         raise SrdError("n must be at least 1")
     if not 0.0 <= tie_prob <= 1.0:
         raise SrdError("tie probability must lie in [0, 1]")
-    return _tied_batch(n, np.full(1, float(tie_prob)), rng)[0]
-
-
-def _perm_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """size random permutations of ranks 1..n, one per row."""
-    return np.argsort(rng.random((size, n)), axis=1) + 1.0
-
-
-def _tied_batch(n: int, tie_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One random tied ranking per row; row i uses tie probability tie_probs[i]."""
-    size = tie_probs.shape[0]
     if n == 1:
-        return np.ones((size, 1))
-    idx = np.arange(n)
-    merge = rng.random((size, n - 1)) < tie_probs[:, None]
-    starts_group = np.ones((size, n), dtype=bool)
-    starts_group[:, 1:] = ~merge
-    # Mean rank of the group covering sorted positions a..b is (a+b)/2 + 1
-    # (0-based); propagate each group's first and last position to its members.
-    first = np.maximum.accumulate(np.where(starts_group, idx, 0), axis=1)
-    ends_group = np.ones((size, n), dtype=bool)
-    ends_group[:, :-1] = starts_group[:, 1:]
-    last = np.minimum.accumulate(
-        np.where(ends_group, idx, n - 1)[:, ::-1], axis=1
-    )[:, ::-1]
-    sorted_ranks = (first + last) / 2.0 + 1.0
-    perm = np.argsort(rng.random((size, n)), axis=1)
-    return np.take_along_axis(sorted_ranks, perm, axis=1)
+        return np.ones(1)
+    _, doubled = next(_ranking_blocks(n, 1, np.full(1, float(tie_prob)), rng))
+    return doubled[0] / 2.0
 
 
-def _doubled_srd_counts(solution: np.ndarray, reference: np.ndarray,
-                        n_bins: int) -> np.ndarray:
-    """Histogram of 2*raw SRD for a batch; rank sums of halves are exact."""
-    raw2 = np.rint(np.abs(solution - reference).sum(axis=1) * 2.0).astype(np.int64)
-    return np.bincount(raw2, minlength=n_bins)
+def _row_blocks(size: int, width: int) -> list[slice]:
+    """Consecutive row slices of a (size, width) draw, _BLOCK elements each."""
+    step = max(1, _BLOCK // width)
+    return [slice(i, min(i + step, size)) for i in range(0, size, step)]
+
+
+def _ranking_blocks(n: int, size: int, tie_probs: np.ndarray | None,
+                    rng: np.random.Generator):
+    """Yield (rows, doubled ranks) for ``size`` random rankings, block by block.
+
+    ``rng`` is consumed exactly as by one ``rng.random((size, n - 1))`` call
+    for the merge flags (row i merges a sorted boundary when its uniform is
+    below ``tie_probs[i]``; tie-free rankings, ``tie_probs`` None, draw none)
+    followed by one ``rng.random((size, n))`` call whose row argsorts are the
+    permutations.  Both are drawn in row blocks, and only the merge flags
+    outlive a block, as bool.
+    """
+    merge = None
+    if tie_probs is not None:
+        merge = np.empty((size, n - 1), dtype=bool)
+        for rows in _row_blocks(size, n - 1):
+            np.less(rng.random((rows.stop - rows.start, n - 1)),
+                    tie_probs[rows, None], out=merge[rows])
+    for rows in _row_blocks(size, n):
+        perm = np.argsort(rng.random((rows.stop - rows.start, n)), axis=1)
+        if merge is None:
+            yield rows, 2 * perm + 2
+        else:
+            sorted2 = _sorted_doubled_ranks(merge[rows])
+            yield rows, sorted2.take(perm + n * np.arange(perm.shape[0])[:, None])
+
+
+def _sorted_doubled_ranks(merge: np.ndarray) -> np.ndarray:
+    """Doubled rank of every sorted position, from a block of merge flags.
+
+    A tie group over sorted positions first..last (0-based) has doubled rank
+    first + last + 2.  Every row opens a group, so in the flattened block a
+    group's last position is the next group's first minus one, and the sum
+    of the two flat firsts is first + last + 1 + 2 * n * row.
+    """
+    rows, n = merge.shape[0], merge.shape[1] + 1
+    starts = np.empty((rows, n), dtype=bool)
+    starts[:, 0] = True
+    np.logical_not(merge, out=starts[:, 1:])
+    firsts = np.append(np.flatnonzero(starts), starts.size)
+    doubled = (firsts[:-1] + firsts[1:]).take(np.cumsum(starts.ravel()) - 1)
+    return doubled.reshape(rows, n) - (2 * n * np.arange(rows) - 1)[:, None]
 
 
 def _chunk_counts(option: str, n: int, size: int, seed_seq: np.random.SeedSequence,
-                  ref_ranks: np.ndarray | None, tie_probs: np.ndarray,
-                  n_bins: int) -> np.ndarray:
-    """Counts contributed by one RNG sub-stream of ``size`` samples."""
+                  ref2: np.ndarray, tie_probs: np.ndarray, n_bins: int) -> np.ndarray:
+    """Histogram of doubled raw SRD over one RNG sub-stream of ``size`` samples.
+
+    ``ref2`` is the fixed reference's doubled ranks.  Options 'r' and 't'
+    draw a reference per sample after all solutions, so their solutions'
+    doubled ranks are held as int32 until the reference blocks arrive.
+    """
     rng = np.random.default_rng(seed_seq)
-    if option == "n":
-        sol = _perm_batch(n, size, rng)
-        ref = ref_ranks[None, :]
-    elif option == "r":
-        sol = _perm_batch(n, size, rng)
-        ref = _perm_batch(n, size, rng)
-    elif option == "t":
-        sol = _tied_batch(n, np.broadcast_to(tie_probs, (size,)), rng)
-        ref = _tied_batch(n, np.broadcast_to(tie_probs, (size,)), rng)
+    if option in ("n", "r"):
+        probs = None
     elif option == "d":
-        donors = rng.integers(0, tie_probs.shape[0], size=size)
-        sol = _tied_batch(n, tie_probs[donors], rng)
-        ref = ref_ranks[None, :]
-    else:  # 'p' and 'f': tied solutions against the fixed reference
-        sol = _tied_batch(n, np.broadcast_to(tie_probs, (size,)), rng)
-        ref = ref_ranks[None, :]
-    return _doubled_srd_counts(sol, ref, n_bins)
+        probs = tie_probs[rng.integers(0, tie_probs.shape[0], size=size)]
+    else:
+        probs = np.broadcast_to(tie_probs, (size,))
+    solutions = _ranking_blocks(n, size, probs, rng)
+    if option in ("r", "t"):
+        sol2 = np.empty((size, n), dtype=np.int32)
+        for rows, block in solutions:
+            sol2[rows] = block
+        pairs = ((block, sol2[rows]) for rows, block in _ranking_blocks(n, size, probs, rng))
+    else:
+        pairs = ((block, ref2) for _, block in solutions)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for a, b in pairs:
+        counts += np.bincount(np.abs(a - b).sum(axis=1), minlength=n_bins)
+    return counts
 
 
 def generate_distribution(table: DataTable, option: str = "f",
@@ -191,8 +215,12 @@ def generate_distribution(table: DataTable, option: str = "f",
       'f'  solutions mimic the reference column's tie frequency (default);
            reference fixed.
 
-    The run is split into fixed-size sub-streams seeded from ``seed``, so
-    results are bit-identical for any ``workers`` count.
+    The run is split into sub-streams of 65,536 samples seeded from
+    ``seed``, so results are bit-identical for any ``workers`` count.  Each
+    sub-stream is drawn in row blocks, which bounds working memory and
+    nothing else: a sub-stream holds about n bytes of merge flags per sample
+    (none for 'n' and 'r'), plus 4n bytes of solution ranks for 't' and 'r'.
+    Seeded results are identical to those of earlier versions.
     """
     if option not in OPTIONS:
         raise SrdError(f"unknown distribution option {option!r}")
@@ -212,7 +240,7 @@ def generate_distribution(table: DataTable, option: str = "f",
         raise SrdError("worker count must be positive")
 
     ref_label = table.reference_label
-    ref_ranks = fractional_ranks(table.column(ref_label))
+    ref2 = (2 * fractional_ranks(table.column(ref_label))).astype(np.int64)
     if option in ("t", "p"):
         tie_probs = np.full(1, float(tie_prob))
     elif option == "f":
@@ -232,8 +260,8 @@ def generate_distribution(table: DataTable, option: str = "f",
     sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
 
     def run(i: int) -> np.ndarray:
-        return _chunk_counts(option, n, sizes[i], children[i], ref_ranks,
-                             tie_probs, n_bins)
+        return _chunk_counts(option, n, sizes[i], children[i], ref2, tie_probs,
+                             n_bins)
 
     if workers == 1:
         counts = sum(run(i) for i in range(n_chunks))

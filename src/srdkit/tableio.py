@@ -249,15 +249,20 @@ def write_replay(report: CrossValReport, path, delimiter: str = ";") -> None:
 def read_replay(path, delimiter: str = ";") -> tuple[str, FoldScheme]:
     """Load a replay file back into (test kind, fold scheme).
 
-    Malformed content raises SrdError naming the offending line.
+    Malformed or ambiguous content (a repeated line, extra cells after a
+    single value) raises SrdError naming the offending line.
     """
     path = Path(path)
     fields: dict[str, tuple[int, list[str]]] = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         for row in reader:
-            if row:
-                fields[row[0]] = (reader.line_num, row[1:])
+            if not row:
+                continue
+            if row[0] in fields:
+                raise SrdError(f"{path}: line {reader.line_num}: repeated {row[0]!r} "
+                               f"line (first on line {fields[row[0]][0]})")
+            fields[row[0]] = (reader.line_num, row[1:])
     for required in ("test", "kind", "k", "seed"):
         if required not in fields:
             raise SrdError(f"{path}: replay file is missing the {required!r} line")
@@ -285,6 +290,8 @@ def _replay_word(path, fields, key: str) -> str:
     line, cells = fields[key]
     if not cells or not cells[0].strip():
         raise SrdError(f"{path}: line {line}: {key!r} has no value")
+    if len(cells) > 1:
+        raise SrdError(f"{path}: line {line}: {key!r} takes one value, got {len(cells)}")
     return cells[0]
 
 
@@ -299,30 +306,6 @@ def _replay_ints(path, fields, key: str, cells: list[str]) -> list[int]:
                 f"{path}: line {line}: {key!r} must be an integer, got {cell!r}"
             ) from None
     return values
-
-
-def write_report(report, path, delimiter: str = ";") -> None:
-    """Write any report object in its canonical file format."""
-    from .plot import ChartDocument, PairwiseMatrix  # avoid an import cycle
-
-    if isinstance(report, DataTable):
-        write_table(report, path, delimiter)
-    elif isinstance(report, RankMatrix):
-        write_rank_matrix(report, path, delimiter)
-    elif isinstance(report, SrdResult):
-        write_srd_result(report, path, delimiter)
-    elif isinstance(report, SrdDetail):
-        write_detailed(report, path, delimiter)
-    elif isinstance(report, SrdDistribution):
-        write_distribution(report, path)
-    elif isinstance(report, CrossValReport):
-        write_crossval_report(report, path, delimiter)
-    elif isinstance(report, PairwiseMatrix):
-        write_pairwise(report, path, delimiter)
-    elif isinstance(report, ChartDocument):
-        Path(path).write_text(report.svg, encoding="utf-8")
-    else:
-        raise SrdError(f"no writer for objects of type {type(report).__name__}")
 
 
 def write_pairwise(matrix, path, delimiter: str = ";") -> None:

@@ -1,6 +1,7 @@
 import pytest
 
 import srdkit as sk
+from srdkit import cli
 from srdkit.cli import main
 from srdkit.tableio import write_table
 
@@ -102,6 +103,23 @@ def test_crrn_writes_deterministic_report(capsys, tmp_path, bundesliga_csv):
     assert a == b
 
 
+def test_consecutive_calls_share_no_parsed_state(monkeypatch, capsys, bundesliga_csv):
+    seeds = []
+    real = cli.generate_distribution
+
+    def spy(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_distribution", spy)
+    args = ["crrn", bundesliga_csv, "--samples", "1000", "--no-save"]
+    assert main(args + ["--seed", "1"]) == 0
+    assert main(args) == 0
+    capsys.readouterr()
+    assert seeds == [1, None]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_crrn_plot_emits_chart_files(tmp_path, bundesliga_csv, capsys):
     assert main(["crrn", bundesliga_csv, "--samples", "30000", "--seed", "2",
                  "--plot", "-o", str(tmp_path / "c")]) == 0
@@ -134,6 +152,9 @@ def test_crossval_report_and_replay(capsys, tmp_path, bundesliga_csv):
 @pytest.mark.parametrize("old, new, line", [
     ("k;8", "k;eight", "line 3"),
     ("fold_2;", "fold_2;2.5;", "line 6"),
+    ("fold_2;", "fold_1;", "line 6"),
+    ("k;8", "k;8;9", "line 3"),
+    ("test;wilcoxon", "test;wilcoxon;junk", "line 1"),
 ])
 def test_malformed_replay_exits_two(capsys, tmp_path, bundesliga_csv, old, new, line):
     prefix = str(tmp_path / "cv")

@@ -9,9 +9,9 @@ from srdkit.tableio import (
     read_table,
     render_distribution,
     write_crossval_report,
+    write_detailed,
     write_distribution,
     write_replay,
-    write_report,
     write_srd_result,
     write_table,
 )
@@ -153,6 +153,12 @@ class TestReadReplay:
         ("fold_1;0;1;2", "fold_1;0;1;2;", "line 5: 'fold_1' must be an integer, got ''"),
         ("kind;subsample", "kind;", "line 2: 'kind' has no value"),
         ("test;wilcoxon", "test", "line 1: 'test' has no value"),
+        ("test;wilcoxon", "test;wilcoxon;junk", "line 1: 'test' takes one value, got 2"),
+        ("kind;subsample", "kind;subsample;half", "line 2: 'kind' takes one value, got 2"),
+        ("k;2", "k;2;9", "line 3: 'k' takes one value, got 2"),
+        ("seed;7", "seed;7;", "line 4: 'seed' takes one value, got 2"),
+        ("fold_2;3;4;5", "fold_1;3;4;5", "line 6: repeated 'fold_1' line (first on line 5)"),
+        ("seed;7\n", "seed;7\nk;2\n", "line 5: repeated 'k' line (first on line 3)"),
     ])
     def test_malformed_values_name_the_line(self, tmp_path, old, new, message):
         path = tmp_path / "replay.csv"
@@ -210,29 +216,9 @@ class TestReportFormats:
             assert block in text
         assert "fold_8" in text and "median" in text
 
-    def test_write_report_dispatch(self, tmp_path, bundesliga):
-        targets = {
-            "table.csv": bundesliga,
-            "ranks.csv": sk.rank_matrix(bundesliga),
-            "values.csv": sk.srd_values(bundesliga),
-            "detail.csv": sk.detailed_srd(bundesliga),
-            "dist.csv": sk.generate_distribution(bundesliga, option="n",
-                                                 samples=20_000, seed=34),
-            "cv.csv": sk.cross_validate(bundesliga, seed=34),
-            "pairwise.csv": sk.pairwise_srd(bundesliga),
-        }
-        for name, obj in targets.items():
-            path = tmp_path / name
-            write_report(obj, path)
-            assert path.read_text(encoding="utf-8").strip()
-
-    def test_write_report_rejects_unknown_types(self, tmp_path):
-        with pytest.raises(SrdError, match="no writer"):
-            write_report(object(), tmp_path / "x.csv")
-
     def test_detail_file_matches_worked_example(self, tmp_path, srd_input):
         path = tmp_path / "detail.csv"
-        write_report(sk.detailed_srd(srd_input), path)
+        write_detailed(sk.detailed_srd(srd_input), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ";A;A_Rank;A_Dist;B;B_Rank;B_Dist;C;C_Rank;C_Dist;refCol;refCol_Rank"
         assert lines[1] == "1;2;1;2;5;2;1;6;4;1.0;6;3"

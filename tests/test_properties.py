@@ -1,4 +1,7 @@
-"""Property tests: the rank-once kernel against per-column ranking."""
+"""Property tests: the rank-once kernel against per-column ranking, and the
+blocked integer CRRN sampler against the float generators it replaced."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
 import srdkit as sk
+from srdkit import distribution
 from srdkit.crossval import _fold_raw_units
 
 # Few distinct values, so most columns carry ties; -0.0 ties with 0.0.
@@ -111,3 +115,127 @@ def test_pairwise_is_exactly_symmetric_with_zero_diagonal(table):
     assert np.array_equal(values, values.T)
     assert np.all(values.diagonal() == 0)
     assert np.all((values >= 0) & (values <= 1))
+
+
+# -- CRRN sampler ------------------------------------------------------------
+# The float generators the blocked kernel replaced, kept verbatim as an
+# oracle: each sub-stream drew every merge uniform, then every permutation
+# uniform, in one call each, and held float64 (size, n) arrays throughout.
+
+def _perm_batch(n, size, rng):
+    return np.argsort(rng.random((size, n)), axis=1) + 1.0
+
+
+def _tied_batch(n, tie_probs, rng):
+    size = tie_probs.shape[0]
+    if n == 1:
+        return np.ones((size, 1))
+    idx = np.arange(n)
+    merge = rng.random((size, n - 1)) < tie_probs[:, None]
+    starts_group = np.ones((size, n), dtype=bool)
+    starts_group[:, 1:] = ~merge
+    first = np.maximum.accumulate(np.where(starts_group, idx, 0), axis=1)
+    ends_group = np.ones((size, n), dtype=bool)
+    ends_group[:, :-1] = starts_group[:, 1:]
+    last = np.minimum.accumulate(
+        np.where(ends_group, idx, n - 1)[:, ::-1], axis=1
+    )[:, ::-1]
+    sorted_ranks = (first + last) / 2.0 + 1.0
+    perm = np.argsort(rng.random((size, n)), axis=1)
+    return np.take_along_axis(sorted_ranks, perm, axis=1)
+
+
+def _doubled_srd_counts(solution, reference, n_bins):
+    raw2 = np.rint(np.abs(solution - reference).sum(axis=1) * 2.0).astype(np.int64)
+    return np.bincount(raw2, minlength=n_bins)
+
+
+def _oracle_chunk_counts(option, n, size, seed_seq, ref_ranks, tie_probs, n_bins):
+    rng = np.random.default_rng(seed_seq)
+    if option == "n":
+        sol, ref = _perm_batch(n, size, rng), ref_ranks[None, :]
+    elif option == "r":
+        sol = _perm_batch(n, size, rng)
+        ref = _perm_batch(n, size, rng)
+    elif option == "t":
+        sol = _tied_batch(n, np.broadcast_to(tie_probs, (size,)), rng)
+        ref = _tied_batch(n, np.broadcast_to(tie_probs, (size,)), rng)
+    elif option == "d":
+        donors = rng.integers(0, tie_probs.shape[0], size=size)
+        sol, ref = _tied_batch(n, tie_probs[donors], rng), ref_ranks[None, :]
+    else:
+        sol = _tied_batch(n, np.broadcast_to(tie_probs, (size,)), rng)
+        ref = ref_ranks[None, :]
+    return _doubled_srd_counts(sol, ref, n_bins)
+
+
+def _oracle_distribution(table, option, tie_prob, samples, seed):
+    """(support, frequency) as the float generators produced them."""
+    ref_label = table.reference_label
+    if option in ("t", "p"):
+        tie_probs = np.full(1, tie_prob)
+    elif option == "f":
+        tie_probs = np.full(1, sk.tie_probability(table.column(ref_label)))
+    elif option == "d":
+        tie_probs = np.array([sk.tie_probability(table.column(c))
+                              for c in table.col_labels if c != ref_label])
+    else:
+        tie_probs = np.zeros(1)
+    n = table.n_rows
+    f = sk.max_srd(n)
+    chunk = 1 << 16
+    sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    ref_ranks = sk.fractional_ranks(table.column(ref_label))
+    counts = sum(_oracle_chunk_counts(option, n, size, child, ref_ranks, tie_probs,
+                                      2 * f + 1)
+                 for size, child in zip(sizes, children))
+    observed = np.nonzero(counts)[0]
+    return observed / (2.0 * f), counts[observed] / samples
+
+
+_TIE_PROBS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+def _check_against_oracle(table, option, tie_prob, samples, seed, workers):
+    tie_prob = tie_prob if option in ("t", "p") else None
+    dist = sk.generate_distribution(table, option, tie_prob=tie_prob,
+                                    samples=samples, seed=seed, workers=workers)
+    support, frequency = _oracle_distribution(table, option, tie_prob, samples, seed)
+    assert np.array_equal(dist.support, support)
+    assert np.array_equal(dist.frequency, frequency)
+    # Every support value is a grid point k * 0.5 / floor(n^2 / 2) in [0, 1].
+    f = sk.max_srd(table.n_rows)
+    k = np.rint(dist.support * (2 * f))
+    assert np.array_equal(dist.support, k / (2 * f))
+    assert np.all((k >= 0) & (k <= 2 * f))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(max_rows=40), st.sampled_from(distribution.OPTIONS), _TIE_PROBS,
+       st.integers(1, 1500), st.integers(1, 5000), st.integers(0, 2**32),
+       st.sampled_from([1, 2]))
+def test_sampler_counts_equal_float_oracle(table, option, tie_prob, samples, block,
+                                           seed, workers):
+    # Row blocks bound memory only, so any block budget gives the same counts;
+    # small budgets make many blocks, the last one usually partial.
+    with mock.patch.object(distribution, "_BLOCK", block):
+        _check_against_oracle(table, option, tie_prob, samples, seed, workers)
+
+
+@settings(max_examples=8, deadline=None)
+@given(tables(max_rows=6), st.sampled_from(distribution.OPTIONS), _TIE_PROBS,
+       st.integers(65_537, 68_000), st.integers(0, 2**32), st.sampled_from([1, 2]))
+def test_sampler_counts_equal_float_oracle_across_sub_streams(table, option, tie_prob,
+                                                             samples, seed, workers):
+    _check_against_oracle(table, option, tie_prob, samples, seed, workers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), _TIE_PROBS, st.integers(0, 2**32))
+def test_random_tied_ranking_equals_float_oracle(n, tie_prob, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ranks = sk.random_tied_ranking(n, tie_prob, rng)
+    expected = _tied_batch(n, np.full(1, tie_prob), oracle_rng)[0]
+    assert ranks.dtype == expected.dtype and np.array_equal(ranks, expected)
+    assert rng.random() == oracle_rng.random()  # same draws consumed
