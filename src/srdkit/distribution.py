@@ -2,8 +2,8 @@
 
 A solution's score is judged against the distribution of scores of random
 rankings.  Six generators cover the common modeling choices for ties
-(options 'n', 'r', 't', 'p', 'd', 'f'); small inputs can be enumerated
-exactly.  The 5% and 95% points of the distribution (XX1 and XX19) split
+(options 'n', 'r', 't', 'p', 'd', 'f'); the tie-free null is exact up to
+n = 18.  The 5% and 95% points of the distribution (XX1 and XX19) split
 the unit interval into significant similarity, indistinguishability from
 random, and significant dissimilarity (reverse ranking).
 """
@@ -11,7 +11,6 @@ random, and significant dissimilarity (reverse ranking).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from .core import DataTable, SrdError, fractional_ranks, max_srd, tie_probabilit
 
 OPTIONS = ("n", "r", "t", "p", "d", "f")
 
-EXACT_MAX_N = 10
+EXACT_MAX_N = 18  # 18! < 2**53: exact counts and totals stay exact in float64 and int64
 
 _CHUNK = 1 << 16  # samples per RNG sub-stream; fixed so worker count cannot matter
 _BLOCK = 1 << 16  # elements drawn at once within a sub-stream; bounds working memory
@@ -274,35 +273,41 @@ def generate_distribution(table: DataTable, option: str = "f",
 
 
 def exact_distribution(n: int, reference=None) -> SrdDistribution:
-    """Enumerate every tie-free solution permutation against a fixed reference.
+    """Exact null of tie-free random solutions against a fixed reference.
 
-    The reference is a rank column (the identity ranking when omitted);
-    probabilities are exact counts over all n! permutations.  Capped at
-    n = 10, beyond which enumeration stops being desk-scale.
+    The reference is a rank column (the identity ranking when omitted).  The
+    n! permutations are counted in one sweep over the doubled ranks 2..2n:
+    an item left open at t adds -t to the doubled distance, and the later
+    item of each pair adds +t as it picks its partner among the other side's
+    open items.  Each count is of partial matchings that extend to distinct
+    permutations, so none exceeds n!.
     """
     if not 2 <= n <= EXACT_MAX_N:
-        raise SrdError(f"exact enumeration supports 2 <= n <= {EXACT_MAX_N}")
+        raise SrdError(f"exact distribution supports 2 <= n <= {EXACT_MAX_N}")
     if reference is None:
         ref2 = 2 * np.arange(1, n + 1, dtype=np.int64)
     else:
         ref = np.asarray(reference, dtype=float)
         if ref.shape != (n,):
             raise SrdError(f"reference rank column must have length {n}")
+        if not np.array_equal(ref, fractional_ranks(ref)):
+            raise SrdError(f"reference is not a rank column; its ranks are "
+                           f"{fractional_ranks(ref).tolist()}")
         ref2 = np.rint(ref * 2.0).astype(np.int64)
-        if np.any(ref2 != ref * 2.0) or ref2.sum() != n * (n + 1):
-            raise SrdError("reference must be a fractional rank column")
     f = max_srd(n)
-    counts = np.zeros(2 * f + 1, dtype=np.int64)
-    perms = itertools.permutations(range(2, 2 * n + 1, 2))  # doubled ranks
-    while True:
-        chunk = np.array(list(itertools.islice(perms, 200_000)), dtype=np.int64)
-        if chunk.size == 0:
-            break
-        raw2 = np.abs(chunk - ref2[None, :]).sum(axis=1)
-        counts += np.bincount(raw2, minlength=counts.size)
-    total = math.factorial(n)
-    return _build_distribution(counts, total, f, option="exact", n_objects=n,
-                               seed=None, tie_prob=None, exact=True)
+    low = 2 * n * (n + 1)  # sum of all doubled ranks: the most open items subtract
+    counts = np.zeros((n + 1, low + 2 * f + 1), dtype=np.int64)  # (open solutions, d)
+    counts[0, low] = 1
+    rows = np.arange(n + 1)[:, None]
+    # np.roll wraps only zeros: every state keeps -low <= d <= 2f; rows 0 and n wrap empty.
+    for t in range(2, 2 * n + 1):
+        for _ in range(np.count_nonzero(ref2 == t)):  # each reference position at t
+            counts = np.roll(counts, -t, 1) + np.roll(rows * counts, (-1, t), (0, 1))
+        if t % 2 == 0:  # then the solution value t, facing open_refs open positions
+            open_refs = rows - (t // 2 - 1) + np.count_nonzero(ref2 <= t)
+            counts = np.roll(counts, (1, -t), (0, 1)) + np.roll(open_refs * counts, t, 1)
+    return _build_distribution(counts[0, low:], math.factorial(n), f, option="exact",
+                               n_objects=n, seed=None, tie_prob=None, exact=True)
 
 
 def _build_distribution(counts: np.ndarray, total: int, f: int, **meta) -> SrdDistribution:
@@ -344,17 +349,12 @@ def _thresholds_from_counts(support: np.ndarray, counts: np.ndarray, total: int,
 
 
 def extract_thresholds(dist: SrdDistribution) -> Thresholds:
-    """Recompute the threshold record from a distribution's support and mass."""
-    if dist.support.size == 0:
-        raise SrdError("distribution support must not be empty")
-    counts = np.rint(dist.frequency * dist.sample_count).astype(np.int64)
-    f = max_srd(dist.n_objects)
-    if np.all(np.abs(counts - dist.frequency * dist.sample_count) < 1e-6):
-        return _thresholds_from_counts(dist.support, counts, int(counts.sum()), f)
-    # Frequencies that are not sample fractions: fall back to float cumsums.
-    scale = 10**12
-    counts = np.rint(dist.frequency * scale).astype(np.int64)
-    return _thresholds_from_counts(dist.support, counts, int(counts.sum()), f)
+    """Recompute the threshold record from a distribution's sample counts."""
+    total = dist.sample_count
+    counts = np.rint(dist.frequency * total).astype(np.int64)
+    if not np.array_equal(counts / total, dist.frequency):
+        raise SrdError(f"frequencies are not fractions of the sample count {total}")
+    return _thresholds_from_counts(dist.support, counts, total, max_srd(dist.n_objects))
 
 
 def classify(normalized_srd: float, thresholds: Thresholds) -> CrrnVerdict:

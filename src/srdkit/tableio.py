@@ -250,7 +250,8 @@ def read_replay(path, delimiter: str = ";") -> tuple[str, FoldScheme]:
     """Load a replay file back into (test kind, fold scheme).
 
     Malformed or ambiguous content (a repeated line, extra cells after a
-    single value) raises SrdError naming the offending line.
+    single value, a line other than test, kind, k, seed and fold_1..fold_k)
+    raises SrdError naming the offending line.
     """
     path = Path(path)
     fields: dict[str, tuple[int, list[str]]] = {}
@@ -280,6 +281,11 @@ def read_replay(path, delimiter: str = ";") -> tuple[str, FoldScheme]:
         if key not in fields:
             raise SrdError(f"{path}: replay file is missing {key!r}")
         folds.append(tuple(_replay_ints(path, fields, key, fields[key][1])))
+    expected = {"test", "kind", "k", "seed"} | {f"fold_{i + 1}" for i in range(k)}
+    for key, (line, _) in fields.items():
+        if key not in expected:
+            raise SrdError(f"{path}: line {line}: unexpected {key!r} line; a replay file "
+                           f"holds test, kind, k, seed and fold_1 to fold_k (k = {k})")
     try:
         return test, FoldScheme(kind, tuple(folds), k, seed)
     except SrdError as exc:

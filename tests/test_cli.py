@@ -155,6 +155,8 @@ def test_crossval_report_and_replay(capsys, tmp_path, bundesliga_csv):
     ("fold_2;", "fold_1;", "line 6"),
     ("k;8", "k;8;9", "line 3"),
     ("test;wilcoxon", "test;wilcoxon;junk", "line 1"),
+    ("fold_2;", "fold_9;0;1;2\nfold_2;", "line 6"),
+    ("k;8", "bogus;1\nk;8", "line 3"),
 ])
 def test_malformed_replay_exits_two(capsys, tmp_path, bundesliga_csv, old, new, line):
     prefix = str(tmp_path / "cv")

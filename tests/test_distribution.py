@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ class TestExactDistribution:
         assert dist.frequency.tolist() == [1 / 3, 1 / 3, 1 / 3]
 
     def test_supported_range(self):
-        for n in (1, 11):
+        for n in (1, 19):
             with pytest.raises(SrdError):
                 sk.exact_distribution(n)
 
@@ -160,6 +161,28 @@ class TestExactDistribution:
             sk.exact_distribution(3, reference=[1, 2])  # wrong length
         with pytest.raises(SrdError):
             sk.exact_distribution(3, reference=[1, 1, 1])  # wrong rank sum
+        # Half-integers with the right rank sum that are still not ranks.
+        for reference, ranks in (([1, 1, 4], r"\[1.5, 1.5, 3.0\]"),
+                                 ([0.5, 2.5, 3], r"\[1.0, 2.0, 3.0\]")):
+            with pytest.raises(SrdError, match=f"not a rank column; its ranks are {ranks}"):
+                sk.exact_distribution(3, reference=reference)
+        with pytest.raises(SrdError, match="finite"):
+            sk.exact_distribution(3, reference=[1, 2, np.nan])
+
+    def test_largest_n_thresholds_equal_integer_recomputation(self):
+        n, total = 18, math.factorial(18)
+        dist = sk.exact_distribution(n)
+        counts = [int(c) for c in np.rint(dist.frequency * total)]
+        assert sum(counts) == total and dist.sample_count == total
+        cum = list(itertools.accumulate(counts))
+        upper = list(itertools.accumulate(counts[::-1]))[::-1]
+        support = dist.support.tolist()
+        t = dist.thresholds
+        assert t.xx1 == max(s for s, c in zip(support, cum) if 20 * c <= total)
+        assert t.xx19 == min(s for s, c in zip(support, upper) if 20 * c <= total)
+        for value, (num, den) in ((t.q1, (1, 4)), (t.median, (1, 2)), (t.q3, (3, 4))):
+            assert value == next(s for s, c in zip(support, cum) if den * c >= num * total)
+        assert t.mean == pytest.approx((n * n - 1) / 3 / max_srd(n), rel=1e-13)
 
     def test_monte_carlo_converges_to_exact(self):
         exact = sk.exact_distribution(5)
@@ -189,6 +212,21 @@ class TestThresholds:
         dist = sk.generate_distribution(bundesliga, option="f",
                                         samples=80_000, seed=12)
         assert sk.extract_thresholds(dist) == dist.thresholds
+
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_extract_round_trips_exact_distributions(self, n):
+        tied = sk.fractional_ranks(np.arange(n) // 2)
+        for reference in (None, tied):
+            dist = sk.exact_distribution(n, reference)
+            assert sk.extract_thresholds(dist) == dist.thresholds
+
+    def test_extract_rejects_frequencies_that_are_not_sample_fractions(self):
+        dist = sk.exact_distribution(3)
+        other = sk.SrdDistribution(support=dist.support, frequency=[0.2, 0.3, 0.5],
+                                   thresholds=dist.thresholds, option="exact",
+                                   n_objects=3, sample_count=6, exact=True)
+        with pytest.raises(SrdError, match="not fractions of the sample count 6"):
+            sk.extract_thresholds(other)
 
     def test_ordering_invariant(self, bundesliga):
         t = sk.generate_distribution(bundesliga, option="f",

@@ -159,6 +159,10 @@ class TestReadReplay:
         ("seed;7", "seed;7;", "line 4: 'seed' takes one value, got 2"),
         ("fold_2;3;4;5", "fold_1;3;4;5", "line 6: repeated 'fold_1' line (first on line 5)"),
         ("seed;7\n", "seed;7\nk;2\n", "line 5: repeated 'k' line (first on line 3)"),
+        ("fold_2;3;4;5", "fold_2;3;4;5\nfold_3;6;7;8", "line 7: unexpected 'fold_3' line; "
+         "a replay file holds test, kind, k, seed and fold_1 to fold_k (k = 2)"),
+        ("k;2", "bogus;1\nk;2", "line 3: unexpected 'bogus' line; "
+         "a replay file holds test, kind, k, seed and fold_1 to fold_k (k = 2)"),
     ])
     def test_malformed_values_name_the_line(self, tmp_path, old, new, message):
         path = tmp_path / "replay.csv"

@@ -1,10 +1,14 @@
-"""Property tests: the rank-once kernel against per-column ranking, and the
-blocked integer CRRN sampler against the float generators it replaced."""
+"""Property tests: the rank-once kernel against per-column ranking, the
+blocked integer CRRN sampler against the float generators it replaced, and
+the exact CRRN sweep against brute-force enumeration and closed forms."""
 
+import itertools
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
@@ -239,3 +243,52 @@ def test_random_tied_ranking_equals_float_oracle(n, tie_prob, seed):
     expected = _tied_batch(n, np.full(1, tie_prob), oracle_rng)[0]
     assert ranks.dtype == expected.dtype and np.array_equal(ranks, expected)
     assert rng.random() == oracle_rng.random()  # same draws consumed
+
+
+# -- exact CRRN null -----------------------------------------------------------
+# The n! enumeration the sweep replaced, kept as an oracle.
+
+def _enumerated_counts(n, reference):
+    perms = np.array(list(itertools.permutations(range(2, 2 * n + 1, 2))))
+    raw2 = np.abs(perms - np.rint(2 * np.asarray(reference)).astype(int)).sum(axis=1)
+    return np.bincount(raw2, minlength=2 * sk.max_srd(n) + 1)
+
+
+def _exact_counts(dist):
+    """Doubled-raw-SRD counts as Python ints, checked to lie on the grid in [0, 1]."""
+    n, total = dist.n_objects, math.factorial(dist.n_objects)
+    two_f = 2 * sk.max_srd(n)
+    k = np.rint(dist.support * two_f).astype(int)
+    assert np.array_equal(dist.support, k / two_f)
+    assert np.all((k >= 0) & (k <= two_f))
+    counts = [int(c) for c in np.rint(dist.frequency * total)]
+    assert sum(counts) == total == dist.sample_count
+    return dict(zip(k.tolist(), counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7).flatmap(
+    lambda n: arrays(int, n, elements=st.integers(0, n))))
+@example(np.array([0, 0, 1, 2, 3, 4, 4]))
+def test_exact_sweep_equals_enumeration_over_tied_references(values):
+    n = values.size
+    reference = sk.fractional_ranks(values)
+    dist = sk.exact_distribution(n, reference)
+    expected = _enumerated_counts(n, reference)
+    assert _exact_counts(dist) == {k: int(c) for k, c in enumerate(expected) if c}
+    observed = np.nonzero(expected)[0]
+    assert np.array_equal(dist.frequency, expected[observed] / math.factorial(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 18).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@example(list(range(1, 19)))
+def test_exact_tie_free_moments_equal_closed_forms(reference):
+    n = len(reference)
+    counts = _exact_counts(sk.exact_distribution(n, reference))
+    total = math.factorial(n)
+    # Raw SRD is k / 2 for doubled distance k.
+    mean = Fraction(sum(k * c for k, c in counts.items()), 2 * total)
+    second = Fraction(sum(k * k * c for k, c in counts.items()), 4 * total)
+    assert mean == Fraction(n * n - 1, 3)
+    assert second - mean ** 2 == Fraction((n + 1) * (2 * n * n + 7), 45)
