@@ -83,6 +83,8 @@ class SrdDistribution:
             raise SrdError("distribution support must not be empty")
         if support.shape != frequency.shape:
             raise SrdError("support and frequency lengths differ")
+        if self.sample_count < 1:
+            raise SrdError("sample count must be positive")
         if np.any(np.diff(support) <= 0):
             raise SrdError("distribution support must be strictly increasing")
         if np.any(frequency < 0) or abs(frequency.sum() - 1.0) > 1e-9:
@@ -279,8 +281,8 @@ def exact_distribution(n: int, reference=None) -> SrdDistribution:
     n! permutations are counted in one sweep over the doubled ranks 2..2n:
     an item left open at t adds -t to the doubled distance, and the later
     item of each pair adds +t as it picks its partner among the other side's
-    open items.  Each count is of partial matchings that extend to distinct
-    permutations, so none exceeds n!.
+    open items.  Distinct partial matchings extend to distinct permutations,
+    so no count exceeds n!.
     """
     if not 2 <= n <= EXACT_MAX_N:
         raise SrdError(f"exact distribution supports 2 <= n <= {EXACT_MAX_N}")

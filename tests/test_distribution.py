@@ -233,6 +233,14 @@ class TestThresholds:
                                      samples=80_000, seed=13).thresholds
         assert t.xx1 <= t.q1 <= t.median <= t.q3 <= t.xx19
 
+    def test_nonpositive_sample_count_rejected(self):
+        dist = sk.exact_distribution(3)
+        for count in (0, -6):
+            with pytest.raises(SrdError, match="sample count must be positive"):
+                sk.SrdDistribution(support=dist.support, frequency=dist.frequency,
+                                   thresholds=dist.thresholds, option="exact",
+                                   n_objects=3, sample_count=count, exact=True)
+
     def test_empty_support_rejected(self):
         with pytest.raises(SrdError, match="empty"):
             sk.SrdDistribution(
