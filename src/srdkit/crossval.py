@@ -11,21 +11,23 @@ doubled ranks follow from counting its rows in each tie group.  They equal
 the ranks of the fold's rows ranked anew, so scores, reports and replay
 files are the same bit for bit either way.
 
-Fold SRD values live on the grid of multiples of 0.5/max_srd(retained
-rows).  Differences between such values are formed in exact rational
-arithmetic: float subtraction perturbs exact ties in |difference| by an
-ulp, which silently changes signed-rank statistics.
+Fold SRD values are integers over 2 * max_srd(retained rows).  The pair
+tests put scores over one common denominator and work on the numerators:
+float subtraction perturbs exact ties in |difference| by an ulp, which
+silently changes signed-rank statistics.  Python's int / int division is
+correctly rounded, so each statistic is the float that exact rationals give.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.stats import f as f_distribution
-from scipy.stats import t as t_distribution
+from scipy import special
 
 from .core import DataTable, SrdError, TieGroups, max_srd
 
@@ -47,7 +49,9 @@ class FoldScheme:
 
     ``subsample`` folds each keep n - ceil(n/k) rows with independently
     drawn discards; ``half_split`` folds come in k/2 replications, each a
-    partition of the rows into two complementary halves.
+    partition of the rows into two complementary halves.  A scheme built
+    by hand or read from a file is checked for exactly that shape;
+    ``make_folds`` draws valid folds by construction and skips the check.
     """
 
     kind: str
@@ -62,30 +66,52 @@ class FoldScheme:
         object.__setattr__(self, "folds", folds)
         if len(folds) != self.k:
             raise SrdError(f"expected {self.k} folds, got {len(folds)}")
+        if self.kind == "subsample":
+            if len({len(fold) for fold in folds}) > 1:
+                raise SrdError("subsample folds must all retain the same number of rows")
+        else:
+            _check_half_splits(folds)
+
+    @classmethod
+    def _drawn(cls, kind: str, folds, k: int, seed: int | None) -> "FoldScheme":
+        """A scheme from ``make_folds``, whose folds are valid as drawn."""
+        scheme = object.__new__(cls)
+        scheme.__dict__.update(kind=kind, folds=folds, k=k, seed=seed)
+        return scheme
 
 
 def _checked_fold(fold) -> tuple[int, ...]:
-    """One fold's row indices as a tuple of Python ints, after validation.
-
-    A tuple that already holds only Python ints is kept as it is, so folds
-    drawn by ``make_folds`` keep sharing one int object per row.
-    """
+    """One fold's row indices as a tuple of Python ints, after validation."""
     if not isinstance(fold, (tuple, list, np.ndarray)):
         fold = tuple(fold)
-    shared = type(fold) is tuple and {*map(type, fold)} == {int}
     try:
-        arr = (np.fromiter(fold, dtype=np.int64, count=len(fold)) if shared
-               else np.asarray(fold))
-    except (TypeError, ValueError, OverflowError):
+        arr = np.asarray(fold)
+    except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise SrdError("fold indices must be integers")
     if arr.size < 2:
         raise SrdError("every fold must retain at least 2 rows")
-    ordered = arr if np.all(arr[1:] > arr[:-1]) else np.sort(arr)
+    ordered = np.sort(arr)
     if ordered[0] < 0 or np.any(ordered[1:] == ordered[:-1]):
         raise SrdError("fold indices must be unique and nonnegative")
-    return fold if shared else tuple(arr.tolist())
+    return tuple(arr.tolist())
+
+
+def _check_half_splits(folds) -> None:
+    """Each replication's two halves are disjoint and cover one common row set."""
+    if len(folds) % 2:
+        raise SrdError("half-split folds come in pairs; got an odd fold count")
+    covered = None
+    for i in range(0, len(folds), 2):
+        rows = np.sort(np.array(folds[i] + folds[i + 1]))
+        if np.any(rows[1:] == rows[:-1]):
+            raise SrdError(f"half-split folds {i + 1} and {i + 2} share a row")
+        if covered is None:
+            covered = rows
+        elif not np.array_equal(rows, covered):
+            raise SrdError(f"half-split folds {i + 1} and {i + 2} cover other rows "
+                           f"than folds 1 and 2")
 
 
 @dataclass(frozen=True)
@@ -157,14 +183,14 @@ def make_folds(n: int, k: int, kind: str = "subsample",
             first[rng.permutation(n)[:(n + 1) // 2]] = True
             folds.append(tuple(rows[first].tolist()))
             folds.append(tuple(rows[~first].tolist()))
-    return FoldScheme(kind, tuple(folds), k, seed)
+    return FoldScheme._drawn(kind, tuple(folds), k, seed)
 
 
 def _fold_raw_units(table: DataTable, scheme: FoldScheme):
     """Doubled raw SRD per fold and solution, plus each fold's max SRD.
 
     Doubling makes every entry an exact integer (ranks are half-integers),
-    so fold scores can be carried as exact fractions units / (2 * f).  The
+    so fold scores can be carried exactly as units / (2 * f).  The
     table is sorted once per column; each fold's ranks then come from
     counting its rows in every tie group, which gives the same integers as
     ranking the fold's rows anew.
@@ -201,36 +227,36 @@ def crossval_srd(table: DataTable, scheme: FoldScheme) -> np.ndarray:
     return units / (2.0 * f_values[:, None])
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    return Fraction(float(x))
+class _Scaled(tuple):
+    """Exact numbers as Python ints: entry x stands for x / ``denominator``."""
+
+    def __new__(cls, numerators, denominator: int):
+        scaled = super().__new__(cls, numerators)
+        scaled.denominator = denominator
+        return scaled
 
 
-def _exact_fractional_ranks(values: list) -> list[float]:
-    """Average ranks with exact tie detection; values need only be orderable."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for t in range(i, j + 1):
-            ranks[order[t]] = mean_rank
-        i = j + 1
-    return ranks
+def _over_one_denominator(values) -> tuple[list[int], int]:
+    """Fractions, integers or floats as numerators over their lcm denominator."""
+    if isinstance(values, _Scaled):
+        return values, values.denominator
+    try:
+        ratios = [(int(x.numerator), int(x.denominator)) if isinstance(x, numbers.Rational)
+                  else float(x).as_integer_ratio() for x in values]
+    except (OverflowError, ValueError):
+        raise SrdError("fold scores must be finite numbers") from None
+    common = math.lcm(*(q for _, q in ratios))
+    return [p * (common // q) for p, q in ratios], common
 
 
-def _signed_rank_tail(w_obs: float, k: int) -> float:
+@lru_cache(maxsize=4096)
+def _signed_rank_tail(w_doubled: int, k: int) -> float:
     """Two-sided p of the signed-rank sum: 2 * P(W <= w) under the exact null.
 
-    The null assigns random signs to the integer ranks 1..k; when ties make
-    the observed sum fractional it is rounded up to the next attainable
-    value, matching the classical critical-value tables.
+    ``w_doubled`` is twice the observed sum.  The null assigns random signs
+    to the integer ranks 1..k; when ties make the observed sum fractional
+    it is rounded up to the next attainable value, matching the classical
+    critical-value tables.
     """
     if k > _MAX_EXACT_K:
         raise SrdError(f"signed-rank test supports at most {_MAX_EXACT_K} folds")
@@ -239,7 +265,7 @@ def _signed_rank_tail(w_obs: float, k: int) -> float:
     counts[0] = 1
     for r in range(1, k + 1):
         counts[r:] += counts[:-r].copy()
-    w_star = min(int(math.ceil(w_obs)), total)
+    w_star = min(-(-w_doubled // 2), total)
     return min(1.0, 2.0 * float(counts[: w_star + 1].sum()) / 2.0**k)
 
 
@@ -251,12 +277,13 @@ def _category(p: float) -> str:
     return CATEGORY_NONE
 
 
-def _paired_folds(a, b, test_name: str) -> list[Fraction]:
-    a = [_to_fraction(x) for x in a]
-    b = [_to_fraction(x) for x in b]
+def _paired_differences(a, b, test_name: str) -> tuple[list[int], int]:
+    """Differences a - b as integers over a common denominator, and that denominator."""
+    (a, den_a), (b, den_b) = _over_one_denominator(a), _over_one_denominator(b)
     if len(a) != len(b):
         raise SrdError(f"{test_name} needs fold value lists of equal length")
-    return [x - y for x, y in zip(a, b)]
+    common = math.lcm(den_a, den_b)
+    return [x * (common // den_a) - y * (common // den_b) for x, y in zip(a, b)], common
 
 
 def wilcoxon_pair_test(a, b) -> PairTestResult:
@@ -266,27 +293,28 @@ def wilcoxon_pair_test(a, b) -> PairTestResult:
     reported statistic is |W+ - W-|.  With every difference zero the pair
     is degenerate: statistic 0 and no significance.
     """
-    d = _paired_folds(a, b, "the signed-rank test")
+    d, _ = _paired_differences(a, b, "the signed-rank test")
     if len(d) < 5:
         raise SrdError("the signed-rank test needs at least 5 folds")
-    d = [x for x in d if x != 0]
+    d = [x for x in d if x]
     if not d:
         return PairTestResult(0.0, 1.0, CATEGORY_NONE)
-    ranks = _exact_fractional_ranks([abs(x) for x in d])
-    w_plus = sum(r for r, x in zip(ranks, d) if x > 0)
-    w_minus = sum(r for r, x in zip(ranks, d) if x < 0)
+    # |d| tied at sorted positions i..j share the doubled average rank i + j + 2.
+    magnitudes = sorted(map(abs, d))
+    w_plus = sum(bisect_left(magnitudes, x) + bisect_right(magnitudes, x) + 1
+                 for x in d if x > 0)
+    w_minus = len(d) * (len(d) + 1) - w_plus
     p = _signed_rank_tail(min(w_plus, w_minus), len(d))
-    return PairTestResult(abs(w_plus - w_minus), p, _category(p))
+    return PairTestResult(abs(w_plus - w_minus) / 2, p, _category(p))
 
 
-def _replication_spread(d: list[Fraction]) -> Fraction:
-    # s_i^2 = (d1 - mean)^2 + (d2 - mean)^2 collapses to (d1 - d2)^2 / 2.
-    return sum(
-        (d[i] - d[i + 1]) ** 2 / 2 for i in range(0, len(d), 2)
-    )
+def _replication_spread(d: list[int]) -> int:
+    # s_i^2 = (d1 - mean)^2 + (d2 - mean)^2 = (d1 - d2)^2 / 2: the pooled
+    # spread is this sum over 2 * denominator^2.
+    return sum((d[i] - d[i + 1]) ** 2 for i in range(0, len(d), 2))
 
 
-def _check_replications(d: list[Fraction], test_name: str) -> int:
+def _check_replications(d: list[int], test_name: str) -> int:
     if len(d) % 2:
         raise SrdError(f"{test_name} needs an even number of folds")
     r = len(d) // 2
@@ -302,13 +330,16 @@ def dietterich_pair_test(a, b) -> PairTestResult:
     statistic is the first difference over the pooled within-replication
     spread, referred to a t distribution with k/2 degrees of freedom.
     """
-    d = _paired_folds(a, b, "the paired t test")
+    d, common = _paired_differences(a, b, "the paired t test")
     r = _check_replications(d, "the paired t test")
     spread = _replication_spread(d)
     if spread == 0:
         raise SrdError("degenerate variance: no spread within replications")
-    t_stat = float(d[0]) / math.sqrt(float(spread) / r)
-    p = 2.0 * float(t_distribution.sf(abs(t_stat), r))
+    # Unlike W and F, t is not scale-free in floating point: round the first
+    # difference and the pooled spread to floats before combining them.
+    t_stat = (d[0] / common) / math.sqrt(spread / (2 * common * common) / r)
+    # scipy.stats.t.sf(x, r) is stdtr(r, -x); the call skips its argument checks.
+    p = 2.0 * float(special.stdtr(r, -abs(t_stat)))
     return PairTestResult(t_stat, p, _category(p))
 
 
@@ -319,13 +350,14 @@ def alpaydin_pair_test(a, b) -> PairTestResult:
     within-replication spread, referred to an F distribution with
     (k, k/2) degrees of freedom; the upper tail is one-sided.
     """
-    d = _paired_folds(a, b, "the paired F test")
+    d, _ = _paired_differences(a, b, "the paired F test")
     r = _check_replications(d, "the paired F test")
     spread = _replication_spread(d)
     if spread == 0:
         raise SrdError("degenerate variance: no spread within replications")
-    f_stat = float(sum(x * x for x in d) / (2 * spread))
-    p = float(f_distribution.sf(f_stat, 2 * r, r))
+    f_stat = sum(x * x for x in d) / spread
+    # scipy.stats.f.sf(x, 2r, r) is fdtrc(2r, r, x) for x > 0, as here.
+    p = float(special.fdtrc(2 * r, r, f_stat))
     return PairTestResult(f_stat, p, _category(p))
 
 
@@ -336,22 +368,20 @@ _PAIR_TESTS = {
 }
 
 
-def _nearest_rank(sorted_values: np.ndarray, p: float) -> float:
-    kth = max(1, math.ceil(p * sorted_values.size))
-    return float(sorted_values[kth - 1])
-
-
 def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
                    scheme: FoldScheme | None = None) -> CrossValReport:
     """Order solutions by median fold score and test adjacent pairs.
 
     ``fold_srd`` is a k x m matrix of fold scores in original solution
-    order; entries may be exact fractions, which the pair tests preserve.
+    order.  Entries may be Fractions, integers or floats; they are put over
+    one common denominator, so the pair tests see their exact values.
     Ordering ties are broken by ascending mean, then original position.
     """
     if test not in TESTS:
         raise SrdError(f"unknown test {test!r}; expected one of {', '.join(TESTS)}")
-    exact = [[_to_fraction(x) for x in row] for row in fold_srd]
+    rows = [_over_one_denominator(row) for row in fold_srd]
+    common = math.lcm(*(q for _, q in rows))
+    exact = [[x * (common // q) for x in row] for row, q in rows]
     if not exact or not exact[0]:
         raise SrdError("fold matrix must not be empty")
     if any(len(row) != len(exact[0]) for row in exact):
@@ -362,30 +392,22 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
     labels = tuple(solution_labels) if solution_labels is not None else tuple(
         f"solution_{j + 1}" for j in range(m)
     )
-    values = np.array([[float(x) for x in row] for row in exact])
+    values = np.array([[x / common for x in row] for row in exact])
 
     medians = np.median(values, axis=0)
     means = values.mean(axis=0)
     order = tuple(int(j) for j in np.lexsort((np.arange(m), means, medians)))
 
     run_test = _PAIR_TESTS[test]
+    columns = [_Scaled(column, common) for column in zip(*exact)]
     pair_results = tuple(
-        run_test([row[order[i]] for row in exact], [row[order[i + 1]] for row in exact])
-        for i in range(m - 1)
+        run_test(columns[order[i]], columns[order[i + 1]]) for i in range(m - 1)
     )
 
-    box = np.zeros((len(BOX_ROWS), m))
-    for j in range(m):
-        col = np.sort(values[:, j])
-        box[:, j] = (
-            col[0],
-            _nearest_rank(col, 0.05),
-            _nearest_rank(col, 0.25),
-            _nearest_rank(col, 0.50),
-            _nearest_rank(col, 0.75),
-            _nearest_rank(col, 0.95),
-            col[-1],
-        )
+    # Min, the nearest-rank (ceil(p k)-th smallest) percentiles, and max.
+    k = values.shape[0]
+    kth = [1] + [max(1, math.ceil(p * k)) for p in (0.05, 0.25, 0.50, 0.75, 0.95)] + [k]
+    box = np.sort(values, axis=0)[[i - 1 for i in kth]]
 
     return CrossValReport(
         fold_srd=values,
@@ -416,8 +438,5 @@ def cross_validate(table: DataTable, test: str = "wilcoxon",
         kind = "subsample" if test == "wilcoxon" else "half_split"
         scheme = make_folds(table.n_rows, k, kind, seed)
     units, f_values, labels = _fold_raw_units(table, scheme)
-    exact = [
-        [Fraction(int(units[i, j]), int(2 * f_values[i])) for j in range(units.shape[1])]
-        for i in range(units.shape[0])
-    ]
+    exact = [_Scaled(row, 2 * f) for row, f in zip(units.tolist(), f_values.tolist())]
     return evaluate_folds(exact, labels, test, scheme)

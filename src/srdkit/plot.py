@@ -89,16 +89,19 @@ def pairwise_srd(table: DataTable) -> PairwiseMatrix:
     """
     if table.n_cols < 2:
         raise SrdError("pairwise distances need at least two columns")
-    # Doubled ranks are integers: one contiguous int32 row per table column
-    # keeps the m^2 / 2 column differences exact and cheap.
-    doubled = (2 * fractional_ranks(table.values).T).astype(np.int32)
+    # Doubled ranks are integers up to 2n: one contiguous row per table column,
+    # in the narrowest dtype, keeps the m^2 / 2 column differences exact and
+    # cheap.  Below 2n = 2^15, int16 holds them and int32 their n-term sums.
+    narrow = 2 * table.n_rows < 2**15
+    doubled = (2 * fractional_ranks(table.values).T).astype(np.int16 if narrow else np.int32)
+    total = np.int32 if narrow else np.int64
     f2 = 2 * max_srd(table.n_rows)
     m = table.n_cols
     values = np.zeros((m, m))
     # n = 1 gives f2 = 0, but then every distance is 0 as well.  Integer sums
     # make both triangles, filled from one row, exactly equal.
     for i in range(m - 1 if f2 else 0):
-        d = np.abs(doubled[i + 1:] - doubled[i]).sum(axis=1) / f2
+        d = np.abs(doubled[i + 1:] - doubled[i]).sum(axis=1, dtype=total) / f2
         values[i, i + 1:] = d
         values[i + 1:, i] = d
     return PairwiseMatrix(table.col_labels, values)

@@ -44,6 +44,20 @@ class TableFileSpec:
             )
 
 
+def _csv_rows(path: Path, delimiter: str) -> list[tuple[int, list[str]]]:
+    """Every row of a delimited UTF-8 file, with the line number it ends on.
+
+    Bytes that are not UTF-8 and fields beyond the csv module's size limit
+    raise SrdError naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle, delimiter=delimiter)
+            return [(reader.line_num, row) for row in reader]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SrdError(f"{path}: not readable as delimited UTF-8 text: {exc}") from None
+
+
 def read_table(spec: TableFileSpec | str | Path) -> DataTable:
     """Parse a delimited file into a DataTable.
 
@@ -53,9 +67,8 @@ def read_table(spec: TableFileSpec | str | Path) -> DataTable:
     if not isinstance(spec, TableFileSpec):
         spec = TableFileSpec(spec)
     path = Path(spec.path)
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle, delimiter=spec.delimiter)]
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    rows = [row for _, row in _csv_rows(path, spec.delimiter)
+            if any(cell.strip() for cell in row)]
     if len(rows) < 2:
         raise SrdError(f"{path}: need a header row and at least one data row")
     header = [cell.strip() for cell in rows[0]]
@@ -251,19 +264,18 @@ def read_replay(path, delimiter: str = ";") -> tuple[str, FoldScheme]:
 
     Malformed or ambiguous content (a repeated line, extra cells after a
     single value, a line other than test, kind, k, seed and fold_1..fold_k)
-    raises SrdError naming the offending line.
+    raises SrdError naming the offending line; folds that do not form a
+    valid scheme raise SrdError naming the file.
     """
     path = Path(path)
     fields: dict[str, tuple[int, list[str]]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for row in reader:
-            if not row:
-                continue
-            if row[0] in fields:
-                raise SrdError(f"{path}: line {reader.line_num}: repeated {row[0]!r} "
-                               f"line (first on line {fields[row[0]][0]})")
-            fields[row[0]] = (reader.line_num, row[1:])
+    for line, row in _csv_rows(path, delimiter):
+        if not row:
+            continue
+        if row[0] in fields:
+            raise SrdError(f"{path}: line {line}: repeated {row[0]!r} "
+                           f"line (first on line {fields[row[0]][0]})")
+        fields[row[0]] = (line, row[1:])
     for required in ("test", "kind", "k", "seed"):
         if required not in fields:
             raise SrdError(f"{path}: replay file is missing the {required!r} line")

@@ -172,6 +172,29 @@ def test_malformed_replay_exits_two(capsys, tmp_path, bundesliga_csv, old, new, 
     assert "Traceback" not in err
 
 
+def test_replay_of_unequal_subsample_folds_exits_two(capsys, tmp_path, bundesliga_csv):
+    replay = tmp_path / "replay.csv"
+    replay.write_text("test;wilcoxon\nkind;subsample\nk;5\nseed;none\n" + "".join(
+        f"fold_{i + 1};" + ";".join(map(str, range(15 if i else 2))) + "\n" for i in range(5)))
+    assert main(["crossval", bundesliga_csv, "--replay", str(replay), "--no-save"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("srd: error: ") and "same number of rows" in err
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"Bayern", b"Bay\xffern"),  # not UTF-8
+    (b"Bayern", b"B" * 140_000),  # beyond the csv module's field size limit
+])
+def test_unreadable_table_exits_two(capsys, tmp_path, bundesliga_csv, old, new):
+    path = tmp_path / "hostile.csv"
+    data = (tmp_path / "bundesliga.csv").read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+    assert main(["values", str(path), "--no-save"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"srd: error: {path}: ") and "Traceback" not in err
+
+
 def test_crossval_plot_emits_chart_files(capsys, tmp_path, bundesliga_csv):
     assert main(["crossval", bundesliga_csv, "--seed", "5", "--plot",
                  "-o", str(tmp_path / "cvp")]) == 0

@@ -74,6 +74,29 @@ class TestMakeFolds:
         assert scheme.folds == ((3, 1), (0, 2))
         assert all(type(i) is int for fold in scheme.folds for i in fold)
 
+    def test_subsample_folds_must_share_one_size(self):
+        with pytest.raises(SrdError, match="same number of rows"):
+            sk.FoldScheme("subsample", ((0, 1, 2), (0, 1)), 2)
+
+    @pytest.mark.parametrize("folds, message", [
+        (((0, 1), (2, 3), (0, 2)), "in pairs"),
+        (((0, 1, 2), (2, 3)), "folds 1 and 2 share a row"),
+        (((0, 1), (2, 3), (0, 2), (1, 4)), "folds 3 and 4 cover other rows"),
+        (((0, 1), (2, 3), (0, 2), (1, 3), (0, 1), (2, 4)), "folds 5 and 6 cover other rows"),
+    ])
+    def test_half_splits_must_be_complementary(self, folds, message):
+        with pytest.raises(SrdError, match=message):
+            sk.FoldScheme("half_split", folds, len(folds))
+
+    def test_half_splits_of_unequal_halves_are_accepted(self):
+        scheme = sk.FoldScheme("half_split", ((4, 0, 2), (1, 3), (1, 2), (0, 3, 4)), 4)
+        assert scheme.folds[0] == (4, 0, 2)
+
+    def test_drawn_schemes_pass_validation(self):
+        for kind in ("subsample", "half_split"):
+            drawn = sk.make_folds(17, 6, kind, seed=9)
+            assert sk.FoldScheme(kind, drawn.folds, 6, 9) == drawn
+
     def test_drawn_folds_share_one_int_per_row(self):
         scheme = sk.make_folds(1000, 4, seed=1)
         ids = {id(i) for fold in scheme.folds for i in fold}
@@ -285,6 +308,9 @@ class TestEvaluateFolds:
             sk.evaluate_folds([[0.1, 0.2]] * 5, ("one",))
         with pytest.raises(SrdError):
             sk.evaluate_folds([[0.1, 0.2]] * 5, None, test="anova")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SrdError, match="finite"):
+                sk.evaluate_folds([[0.1, bad]] * 5, None)
 
 
 class TestCrossValidate:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srdkit as sk
 from srdkit import SrdError
+from srdkit.crossval import TESTS
 from srdkit.tableio import (
     TableFileSpec,
     read_replay,
@@ -15,6 +18,7 @@ from srdkit.tableio import (
     write_srd_result,
     write_table,
 )
+from tests.conftest import DATA
 
 
 class TestReadTable:
@@ -176,6 +180,73 @@ class TestReadReplay:
         path.write_text(_REPLAY.replace("fold_2;3;4;5", "fold_2;3;3;5"))
         with pytest.raises(SrdError, match="replay.csv: fold indices must be unique"):
             read_replay(path)
+
+    @pytest.mark.parametrize("kind, fold_2, message", [
+        ("subsample", "fold_2;3;4", "subsample folds must all retain the same number"),
+        ("half_split", "fold_2;2;3;4", "half-split folds 1 and 2 share a row"),
+    ])
+    def test_folds_that_form_no_scheme_are_rejected(self, tmp_path, kind, fold_2, message):
+        path = tmp_path / "replay.csv"
+        path.write_text(_REPLAY.replace("kind;subsample", f"kind;{kind}")
+                        .replace("fold_2;3;4;5", fold_2))
+        with pytest.raises(SrdError, match=f"replay.csv: {message}"):
+            read_replay(path)
+
+    def test_published_replay_still_loads(self):
+        test, scheme = read_replay(DATA / "published_run_replay.csv")
+        assert test == "wilcoxon" and scheme.k == 8
+        assert {len(fold) for fold in scheme.folds} == {15}
+
+
+_TABLE = b";a;b;ref\nr1;1;2;3\nr2;2;1;3\nr3;0.5;4;1\n"
+
+
+def _spliced(base: bytes):
+    """``base`` with one random stretch replaced by arbitrary bytes."""
+    return st.tuples(st.integers(0, len(base)), st.integers(0, len(base)),
+                     st.binary(max_size=40)).map(
+        lambda t: base[:min(t[:2])] + t[2] + base[max(t[:2]):])
+
+
+class TestHostileFiles:
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(_TABLE.replace(b"r2", b"r\xff"))
+        with pytest.raises(SrdError, match="bad.csv: not readable as delimited UTF-8"):
+            read_table(path)
+
+    def test_field_beyond_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_bytes(_TABLE.replace(b"r2", b"r" * 140_000))
+        with pytest.raises(SrdError, match="long.csv: .*field limit"):
+            read_table(path)
+        path.write_bytes(_REPLAY.encode().replace(b"fold_1", b"f" * 140_000))
+        with pytest.raises(SrdError, match="long.csv: .*field limit"):
+            read_replay(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=200), _spliced(_TABLE)))
+    def test_read_table_accepts_or_rejects_any_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz_table.csv"
+        path.write_bytes(data)
+        try:
+            table = read_table(path)
+        except SrdError:
+            return
+        assert table.values.shape == (len(table.row_labels), len(table.col_labels))
+        assert np.all(np.isfinite(table.values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=200), _spliced(_REPLAY.encode())))
+    def test_read_replay_accepts_or_rejects_any_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz_replay.csv"
+        path.write_bytes(data)
+        try:
+            test, scheme = read_replay(path)
+        except SrdError:
+            return
+        assert test in TESTS and len(scheme.folds) == scheme.k
+        assert all(type(i) is int and i >= 0 for fold in scheme.folds for i in fold)
 
 
 class TestReportFormats:

@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 import srdkit as sk
 from srdkit import SrdError
@@ -37,6 +38,21 @@ class TestPairwiseSrd:
         j = matrix.labels.index("pts")
         for s, label in enumerate(c for c in matrix.labels if c != "pts"):
             assert matrix.values[matrix.labels.index(label), j] == scores[s]
+
+    @pytest.mark.parametrize("n", [16_383, 16_384])
+    def test_long_tables_match_per_column_ranks(self, n):
+        # Doubled ranks switch from int16 to int32 at 2n = 2^15.  A reversed
+        # column gives the largest possible sums.
+        rng = np.random.default_rng(n)
+        table = sk.from_columns({
+            "up": np.arange(n), "down": -np.arange(n),
+            "tied": rng.integers(0, 50, size=n), "noisy": rng.normal(size=n),
+        })
+        ranks = np.column_stack([rankdata(table.values[:, j]) for j in range(4)])
+        expected = np.array([[np.abs(ranks[:, i] - ranks[:, j]).sum() / (n * n // 2)
+                              for j in range(4)] for i in range(4)])
+        assert np.array_equal(sk.pairwise_srd(table).values, expected)
+        assert expected[0, 1] == 1.0
 
     def test_needs_two_columns(self):
         with pytest.raises(SrdError, match="two columns"):

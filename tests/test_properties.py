@@ -1,6 +1,7 @@
 """Property tests: the rank-once kernel against per-column ranking, the
-blocked integer CRRN sampler against the float generators it replaced, and
-the exact CRRN sweep against brute-force enumeration and closed forms."""
+integer pair tests against the Fraction ones they replaced, the blocked
+integer CRRN sampler against the float generators it replaced, and the
+exact CRRN sweep against brute-force enumeration and closed forms."""
 
 import itertools
 import math
@@ -8,13 +9,16 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import f as f_distribution
 from scipy.stats import rankdata
+from scipy.stats import t as t_distribution
 
 import srdkit as sk
-from srdkit import distribution
+from srdkit import crossval, distribution
 from srdkit.crossval import _fold_raw_units
 
 # Few distinct values, so most columns carry ties; -0.0 ties with 0.0.
@@ -34,15 +38,13 @@ def tables(draw, min_rows=2, max_rows=24):
 
 @st.composite
 def tables_with_folds(draw):
-    """A table and k folds of any size >= 2 whose rows come in any order."""
+    """A table and k folds of one size >= 2 whose rows come in any order."""
     table = draw(tables())
     rows = st.permutations(range(table.n_rows))
     k = draw(st.integers(1, 5))
-    folds = []
-    for _ in range(k):
-        size = draw(st.integers(2, table.n_rows))
-        folds.append(tuple(draw(rows)[:size]))
-    return table, sk.FoldScheme("subsample", tuple(folds), k)
+    size = draw(st.integers(2, table.n_rows))
+    folds = tuple(tuple(draw(rows)[:size]) for _ in range(k))
+    return table, sk.FoldScheme("subsample", folds, k)
 
 
 def _per_column_ranks(values):
@@ -119,6 +121,240 @@ def test_pairwise_is_exactly_symmetric_with_zero_diagonal(table):
     assert np.array_equal(values, values.T)
     assert np.all(values.diagonal() == 0)
     assert np.all((values >= 0) & (values <= 1))
+
+
+# -- pair tests ----------------------------------------------------------------
+# The Fraction pair tests that integer numerators over a common denominator
+# replaced, kept verbatim as an oracle, with the ordering and box summary of
+# evaluate_folds.
+
+def _to_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
+    return Fraction(float(x))
+
+
+def _exact_fractional_ranks(values: list) -> list[float]:
+    """Average ranks with exact tie detection; values need only be orderable."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        mean_rank = (i + j) / 2 + 1
+        for t in range(i, j + 1):
+            ranks[order[t]] = mean_rank
+        i = j + 1
+    return ranks
+
+
+def _signed_rank_tail(w_obs: float, k: int) -> float:
+    if k > 62:
+        raise sk.SrdError(f"signed-rank test supports at most {62} folds")
+    total = k * (k + 1) // 2
+    counts = np.zeros(total + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in range(1, k + 1):
+        counts[r:] += counts[:-r].copy()
+    w_star = min(int(math.ceil(w_obs)), total)
+    return min(1.0, 2.0 * float(counts[: w_star + 1].sum()) / 2.0**k)
+
+
+def _category(p: float) -> str:
+    if p < 0.05:
+        return crossval.CATEGORY_SIGNIFICANT
+    if p < 0.1:
+        return crossval.CATEGORY_WEAK
+    return crossval.CATEGORY_NONE
+
+
+def _paired_folds(a, b, test_name: str) -> list[Fraction]:
+    a = [_to_fraction(x) for x in a]
+    b = [_to_fraction(x) for x in b]
+    if len(a) != len(b):
+        raise sk.SrdError(f"{test_name} needs fold value lists of equal length")
+    return [x - y for x, y in zip(a, b)]
+
+
+def _oracle_wilcoxon(a, b) -> sk.PairTestResult:
+    d = _paired_folds(a, b, "the signed-rank test")
+    if len(d) < 5:
+        raise sk.SrdError("the signed-rank test needs at least 5 folds")
+    d = [x for x in d if x != 0]
+    if not d:
+        return sk.PairTestResult(0.0, 1.0, crossval.CATEGORY_NONE)
+    ranks = _exact_fractional_ranks([abs(x) for x in d])
+    w_plus = sum(r for r, x in zip(ranks, d) if x > 0)
+    w_minus = sum(r for r, x in zip(ranks, d) if x < 0)
+    p = _signed_rank_tail(min(w_plus, w_minus), len(d))
+    return sk.PairTestResult(abs(w_plus - w_minus), p, _category(p))
+
+
+def _replication_spread(d: list[Fraction]) -> Fraction:
+    return sum(
+        (d[i] - d[i + 1]) ** 2 / 2 for i in range(0, len(d), 2)
+    )
+
+
+def _check_replications(d: list[Fraction], test_name: str) -> int:
+    if len(d) % 2:
+        raise sk.SrdError(f"{test_name} needs an even number of folds")
+    r = len(d) // 2
+    if r < 2:
+        raise sk.SrdError(f"{test_name} needs at least 2 replications (4 folds)")
+    return r
+
+
+def _oracle_dietterich(a, b) -> sk.PairTestResult:
+    d = _paired_folds(a, b, "the paired t test")
+    r = _check_replications(d, "the paired t test")
+    spread = _replication_spread(d)
+    if spread == 0:
+        raise sk.SrdError("degenerate variance: no spread within replications")
+    t_stat = float(d[0]) / math.sqrt(float(spread) / r)
+    p = 2.0 * float(t_distribution.sf(abs(t_stat), r))
+    return sk.PairTestResult(t_stat, p, _category(p))
+
+
+def _oracle_alpaydin(a, b) -> sk.PairTestResult:
+    d = _paired_folds(a, b, "the paired F test")
+    r = _check_replications(d, "the paired F test")
+    spread = _replication_spread(d)
+    if spread == 0:
+        raise sk.SrdError("degenerate variance: no spread within replications")
+    f_stat = float(sum(x * x for x in d) / (2 * spread))
+    p = float(f_distribution.sf(f_stat, 2 * r, r))
+    return sk.PairTestResult(f_stat, p, _category(p))
+
+
+_ORACLE_TESTS = {
+    "wilcoxon": (sk.wilcoxon_pair_test, _oracle_wilcoxon),
+    "dietterich": (sk.dietterich_pair_test, _oracle_dietterich),
+    "alpaydin": (sk.alpaydin_pair_test, _oracle_alpaydin),
+}
+
+
+def _nearest_rank(sorted_values: np.ndarray, p: float) -> float:
+    kth = max(1, math.ceil(p * sorted_values.size))
+    return float(sorted_values[kth - 1])
+
+
+def _oracle_evaluate(fold_srd, test):
+    """(values, column order, pair results, box summary) as evaluate_folds gave them."""
+    exact = [[_to_fraction(x) for x in row] for row in fold_srd]
+    m = len(exact[0])
+    values = np.array([[float(x) for x in row] for row in exact])
+    medians = np.median(values, axis=0)
+    means = values.mean(axis=0)
+    order = tuple(int(j) for j in np.lexsort((np.arange(m), means, medians)))
+    run_test = _ORACLE_TESTS[test][1]
+    pair_results = tuple(
+        run_test([row[order[i]] for row in exact], [row[order[i + 1]] for row in exact])
+        for i in range(m - 1)
+    )
+    box = np.zeros((len(crossval.BOX_ROWS), m))
+    for j in range(m):
+        col = np.sort(values[:, j])
+        box[:, j] = (
+            col[0],
+            _nearest_rank(col, 0.05),
+            _nearest_rank(col, 0.25),
+            _nearest_rank(col, 0.50),
+            _nearest_rank(col, 0.75),
+            _nearest_rank(col, 0.95),
+            col[-1],
+        )
+    return values, order, pair_results, box
+
+
+def _same_outcome(run, oracle, *args):
+    """Both raise SrdError with one message, or both return equal results."""
+    try:
+        expected = oracle(*args)
+    except sk.SrdError as exc:
+        with pytest.raises(sk.SrdError) as got:
+            run(*args)
+        assert str(got.value) == str(exc)
+        return None
+    assert run(*args) == expected
+    return expected
+
+
+@st.composite
+def fold_matrices(draw):
+    """A k x m fold matrix as Fractions, floats, ints or a mix of them.
+
+    Rows take one or two denominators, as subsample folds and half splits of
+    an odd row count do.  Small numerators make zero differences and ties
+    in |difference| common; large ones pass 2^53.
+    """
+    k = draw(st.integers(4, 12))
+    m = draw(st.integers(2, 5))
+    denominators = draw(st.lists(st.sampled_from([1, 2, 3, 8, 224, 2 * 10**9 + 2]),
+                                 min_size=1, max_size=2))
+    top = draw(st.sampled_from([4, 40, 2**60]))
+    numerators = draw(st.lists(st.lists(st.integers(0, top), min_size=m, max_size=m),
+                               min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["fraction", "float", "int", "mixed"]))
+    kinds = [draw(st.sampled_from(["fraction", "float", "int"])) if kind == "mixed"
+             else kind for _ in range(k * m)]
+    convert = {"fraction": Fraction, "float": lambda p, q: p / q, "int": lambda p, q: p}
+    return [[convert[kinds[i * m + j]](p, denominators[i % len(denominators)])
+             for j, p in enumerate(row)] for i, row in enumerate(numerators)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_matrices(), st.sampled_from(crossval.TESTS))
+# t rounds at a different place if the denominator is cancelled out.
+@example([[Fraction(1, 7), 0], [0, 0], [0, 0], [Fraction(1, 7), 0]], "dietterich")
+def test_pair_tests_equal_fraction_oracle(matrix, test):
+    run, oracle = _ORACLE_TESTS[test]
+    for j in range(len(matrix[0]) - 1):
+        a, b = [row[j] for row in matrix], [row[j + 1] for row in matrix]
+        _same_outcome(run, oracle, a, b)
+        _same_outcome(run, oracle, b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fold_matrices(), st.sampled_from(crossval.TESTS))
+def test_evaluate_folds_equals_fraction_oracle(matrix, test):
+    try:
+        values, order, pair_results, box = _oracle_evaluate(matrix, test)
+    except sk.SrdError:
+        with pytest.raises(sk.SrdError):
+            sk.evaluate_folds(matrix, None, test)
+        return
+    report = sk.evaluate_folds(matrix, None, test)
+    assert np.array_equal(report.fold_srd, values)
+    assert report.column_order == order
+    assert report.pair_results == pair_results
+    assert np.array_equal(report.box_summary, box)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(min_rows=10, max_rows=25), st.sampled_from(crossval.TESTS),
+       st.sampled_from([6, 8, 10]), st.integers(0, 2**32))
+def test_cross_validate_equals_fraction_oracle(table, test, k, seed):
+    # Odd row counts give half splits with two denominators.
+    kind = "subsample" if test == "wilcoxon" else "half_split"
+    scheme = sk.make_folds(table.n_rows, k, kind, seed)
+    units, f_values, _ = _fold_raw_units(table, scheme)
+    exact = [[Fraction(int(u), int(2 * f)) for u in row] for row, f in zip(units, f_values)]
+    try:
+        values, order, pair_results, box = _oracle_evaluate(exact, test)
+    except sk.SrdError:
+        with pytest.raises(sk.SrdError):
+            sk.cross_validate(table, test, scheme=scheme)
+        return
+    report = sk.cross_validate(table, test, scheme=scheme)
+    assert np.array_equal(report.fold_srd, values)
+    assert report.column_order == order
+    assert report.pair_results == pair_results
+    assert np.array_equal(report.box_summary, box)
 
 
 # -- CRRN sampler ------------------------------------------------------------
