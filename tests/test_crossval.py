@@ -308,9 +308,11 @@ class TestEvaluateFolds:
             sk.evaluate_folds([[0.1, 0.2]] * 5, ("one",))
         with pytest.raises(SrdError):
             sk.evaluate_folds([[0.1, 0.2]] * 5, None, test="anova")
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(SrdError, match="finite"):
-                sk.evaluate_folds([[0.1, bad]] * 5, None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(SrdError, match="finite"):
+            sk.evaluate_folds([[0.1, bad]] * 5, None)
 
 
 class TestCrossValidate:
