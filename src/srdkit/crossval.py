@@ -24,7 +24,6 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -249,7 +248,6 @@ def _over_one_denominator(values) -> tuple[list[int], int]:
     return [p * (common // q) for p, q in ratios], common
 
 
-@lru_cache(maxsize=4096)
 def _signed_rank_tail(w_doubled: int, k: int) -> float:
     """Two-sided p of the signed-rank sum: 2 * P(W <= w) under the exact null.
 

@@ -52,7 +52,8 @@ def srd_input():
 def published_run_scheme():
     """Retained-row sets that reproduce the published fold matrix exactly."""
     test, scheme = sk.read_replay(DATA / "published_run_replay.csv")
-    assert test == "wilcoxon"
+    assert test == "wilcoxon" and scheme.k == 8
+    assert {len(fold) for fold in scheme.folds} == {15}
     return scheme
 
 

@@ -18,7 +18,6 @@ from srdkit.tableio import (
     write_srd_result,
     write_table,
 )
-from tests.conftest import DATA
 
 
 class TestReadTable:
@@ -191,11 +190,6 @@ class TestReadReplay:
                         .replace("fold_2;3;4;5", fold_2))
         with pytest.raises(SrdError, match=f"replay.csv: {message}"):
             read_replay(path)
-
-    def test_published_replay_still_loads(self):
-        test, scheme = read_replay(DATA / "published_run_replay.csv")
-        assert test == "wilcoxon" and scheme.k == 8
-        assert {len(fold) for fold in scheme.folds} == {15}
 
 
 _TABLE = b";a;b;ref\nr1;1;2;3\nr2;2;1;3\nr3;0.5;4;1\n"
