@@ -10,6 +10,7 @@ largest distance two rankings of that size can have.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,18 @@ import numpy as np
 
 class SrdError(ValueError):
     """Raised for invalid tables, parameters, or file contents."""
+
+
+def checked_count(value, what: str, minimum: int = 1) -> int:
+    """``value`` as an int, or SrdError unless it is an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise SrdError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def checked_seed(seed) -> int | None:
+    """A seed for numpy's SeedSequence: None or a nonnegative integer."""
+    return None if seed is None else checked_count(seed, "seed", 0)
 
 
 def _check_labels(labels: tuple[str, ...], what: str) -> None:

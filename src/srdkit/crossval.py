@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import DataTable, SrdError, TieGroups, max_srd
+from .core import DataTable, SrdError, TieGroups, checked_count, checked_seed, max_srd
 
 TESTS = ("wilcoxon", "dietterich", "alpaydin")
 FOLD_KINDS = ("subsample", "half_split")
@@ -153,9 +153,8 @@ def make_folds(n: int, k: int, kind: str = "subsample",
     """Draw the retained-row sets for a k-fold run over n rows."""
     if kind not in FOLD_KINDS:
         raise SrdError(f"unknown fold kind {kind!r}")
-    if k < 2:
-        raise SrdError("fold count must be at least 2")
-    rng = np.random.default_rng(seed)
+    k = checked_count(k, "fold count", 2)
+    rng = np.random.default_rng(checked_seed(seed))
     folds: list[tuple[int, ...]] = []
     if kind == "subsample":
         if n < k:

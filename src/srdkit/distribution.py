@@ -10,6 +10,7 @@ random, and significant dissimilarity (reverse ranking).
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataTable, SrdError, fractional_ranks, max_srd, tie_probability
+from .core import (DataTable, SrdError, checked_count, checked_seed, fractional_ranks,
+                   max_srd, tie_probability)
 
 OPTIONS = ("n", "r", "t", "p", "d", "f")
 
@@ -117,85 +119,115 @@ def random_tied_ranking(n: int, tie_prob: float, rng: np.random.Generator) -> np
         raise SrdError("tie probability must lie in [0, 1]")
     if n == 1:
         return np.ones(1)
-    _, doubled = next(_ranking_blocks(n, 1, np.full(1, float(tie_prob)), rng))
-    return doubled[0] / 2.0
+    # Both phases come straight from ``rng``, which any bit generator allows.
+    buffers = _BlockBuffers(1, n, 1)
+    return buffers.ranking(iter((rng, rng)), 1, np.full(1, float(tie_prob)), 0)[0] / 2.0
 
 
-def _row_blocks(size: int, width: int) -> list[slice]:
-    """Consecutive row slices of a (size, width) draw, _BLOCK elements each."""
-    step = max(1, _BLOCK // width)
-    return [slice(i, min(i + step, size)) for i in range(0, size, step)]
+class _BlockBuffers:
+    """Scratch arrays for the row blocks of one sub-stream, reused via ``out=``.
 
-
-def _ranking_blocks(n: int, size: int, tie_probs: np.ndarray | None,
-                    rng: np.random.Generator):
-    """Yield (rows, doubled ranks) for ``size`` random rankings, block by block.
-
-    ``rng`` is consumed exactly as by one ``rng.random((size, n - 1))`` call
-    for the merge flags (row i merges a sorted boundary when its uniform is
-    below ``tie_probs[i]``; tie-free rankings, ``tie_probs`` None, draw none)
-    followed by one ``rng.random((size, n))`` call whose row argsorts are the
-    permutations.  Both are drawn in row blocks, and only the merge flags
-    outlive a block, as bool.
+    With fresh ~0.5 MB temporaries in every block, glibc's malloc returned
+    their pages and faulted them in again each block, about a seventh of a
+    tied call's time.  Only the argsort and the group starts are still
+    allocated per block.
     """
-    merge = None
-    if tie_probs is not None:
-        merge = np.empty((size, n - 1), dtype=bool)
-        for rows in _row_blocks(size, n - 1):
-            np.less(rng.random((rows.stop - rows.start, n - 1)),
-                    tie_probs[rows, None], out=merge[rows])
-    for rows in _row_blocks(size, n):
-        perm = np.argsort(rng.random((rows.stop - rows.start, n)), axis=1)
-        if merge is None:
-            yield rows, 2 * perm + 2
-        else:
-            sorted2 = _sorted_doubled_ranks(merge[rows])
-            yield rows, sorted2.take(perm + n * np.arange(perm.shape[0])[:, None])
 
+    def __init__(self, rows: int, n: int, tied_rankings: int):
+        size = rows * n
+        self.n = n
+        self.uniforms = np.empty(size)
+        if tied_rankings:  # held at once by a block: 2 for option 't'
+            self.starts = np.empty(size, dtype=bool)
+            self.groups = np.empty(size, dtype=np.int64)
+            self.pair_sums = np.empty(size + 1, dtype=np.int32)
+            self.sorted2 = np.empty(size, dtype=np.int32)
+            self.ranks = np.empty((tied_rankings, size), dtype=np.int32)
 
-def _sorted_doubled_ranks(merge: np.ndarray) -> np.ndarray:
-    """Doubled rank of every sorted position, from a block of merge flags.
+    def ranking(self, draws, rows: int, probs: np.ndarray | None, slot: int) -> np.ndarray:
+        """Doubled ranks of ``rows`` random rankings, one per row.
 
-    A tie group over sorted positions first..last (0-based) has doubled rank
-    first + last + 2.  Every row opens a group, so in the flattened block a
-    group's last position is the next group's first minus one, and the sum
-    of the two flat firsts is first + last + 1 + 2 * n * row.
-    """
-    rows, n = merge.shape[0], merge.shape[1] + 1
-    starts = np.empty((rows, n), dtype=bool)
-    starts[:, 0] = True
-    np.logical_not(merge, out=starts[:, 1:])
-    firsts = np.append(np.flatnonzero(starts), starts.size)
-    doubled = (firsts[:-1] + firsts[1:]).take(np.cumsum(starts.ravel()) - 1)
-    return doubled.reshape(rows, n) - (2 * n * np.arange(rows) - 1)[:, None]
+        Takes the next generator of ``draws`` for a (rows, n - 1) draw of merge
+        uniforms when ``probs`` holds the rows' tie probabilities (a boundary
+        merges when its uniform is below), then the next for a (rows, n) draw
+        whose row argsorts permute the sorted positions.
+        """
+        n = self.n
+        size = rows * n
+        if probs is not None:
+            starts = self.starts[:size].reshape(rows, n)
+            starts[:, 0] = True
+            merge_u = next(draws).random(out=self.uniforms[:size - rows].reshape(rows, n - 1))
+            np.greater_equal(merge_u, probs[:, None], out=starts[:, 1:])
+            sorted2 = self._flat_doubled_ranks(starts.ravel())
+        perm = np.argsort(next(draws).random(out=self.uniforms[:size].reshape(rows, n)),
+                          axis=1)
+        if probs is None:
+            perm *= 2
+            perm += 2
+            return perm
+        perm += n * np.arange(rows)[:, None]
+        out = self.ranks[slot, :size].reshape(rows, n)
+        np.take(sorted2, perm, out=out, mode="clip")
+        out -= (2 * n * np.arange(rows, dtype=np.int32) - 1)[:, None]
+        return out
+
+    def _flat_doubled_ranks(self, starts: np.ndarray) -> np.ndarray:
+        """Doubled rank of every sorted position plus 2 * n * row - 1.
+
+        A tie group over sorted positions first..last (0-based) has doubled
+        rank first + last + 2.  Every row opens a group, so in the flattened
+        block a group's last position is the next group's first minus one,
+        and the sum of the two flat firsts is first + last + 1 + 2 * n * row.
+        int32 sums stay exact: a block holds fewer than 2**30 positions.
+        """
+        firsts = np.flatnonzero(starts)
+        pair_sums = self.pair_sums[:firsts.size + 1]  # [j] serves group j - 1
+        np.add(firsts[:-1], firsts[1:], out=pair_sums[1:-1])
+        pair_sums[-1] = firsts[-1] + starts.size
+        groups = self.groups[:starts.size]
+        groups[:] = starts
+        np.cumsum(groups, out=groups)  # 1-based group of every position
+        return np.take(pair_sums, groups, out=self.sorted2[:starts.size], mode="clip")
 
 
 def _chunk_counts(option: str, n: int, size: int, seed_seq: np.random.SeedSequence,
                   ref2: np.ndarray, tie_probs: np.ndarray, n_bins: int) -> np.ndarray:
     """Histogram of doubled raw SRD over one RNG sub-stream of ``size`` samples.
 
-    ``ref2`` is the fixed reference's doubled ranks.  Options 'r' and 't'
-    draw a reference per sample after all solutions, so their solutions'
-    doubled ranks are held as int32 until the reference blocks arrive.
+    ``ref2`` is the fixed reference's doubled ranks.  After the donor draw
+    ('d'), the sub-stream is consumed in phases, as by one ``rng.random`` call
+    each: per ranking, (size, n - 1) merge uniforms (tied options) and then
+    (size, n) permutation uniforms; for 'r' and 't' the solutions' phases,
+    then the references'.  ``Generator.random`` takes one PCG64 output per
+    double, so each phase reads a copy of the generator advanced to the
+    phase's start, and the phases advance together in row blocks of
+    ``_BLOCK`` elements.  Only one block is held, whatever ``size`` is.
     """
     rng = np.random.default_rng(seed_seq)
-    if option in ("n", "r"):
-        probs = None
-    elif option == "d":
+    if option == "d":
         probs = tie_probs[rng.integers(0, tie_probs.shape[0], size=size)]
     else:
         probs = np.broadcast_to(tie_probs, (size,))
-    solutions = _ranking_blocks(n, size, probs, rng)
-    if option in ("r", "t"):
-        sol2 = np.empty((size, n), dtype=np.int32)
-        for rows, block in solutions:
-            sol2[rows] = block
-        pairs = ((block, sol2[rows]) for rows, block in _ranking_blocks(n, size, probs, rng))
-    else:
-        pairs = ((block, ref2) for _, block in solutions)
+    tied = option not in ("n", "r")
+    rankings = 2 if option in ("r", "t") else 1  # per sample
+    widths = (([n - 1] if tied else []) + [n]) * rankings
+    streams = [rng]
+    for width in widths[:-1]:
+        streams.append(copy.deepcopy(streams[-1]))
+        streams[-1].bit_generator.advance(size * width)
+
+    step = max(1, _BLOCK // n)
+    buffers = _BlockBuffers(min(size, step), n, rankings if tied else 0)
     counts = np.zeros(n_bins, dtype=np.int64)
-    for a, b in pairs:
-        counts += np.bincount(np.abs(a - b).sum(axis=1), minlength=n_bins)
+    for start in range(0, size, step):
+        rows = min(step, size - start)
+        block_probs = probs[start:start + rows] if tied else None
+        draws = iter(streams)
+        a = buffers.ranking(draws, rows, block_probs, 0)
+        b = buffers.ranking(draws, rows, block_probs, 1) if rankings == 2 else ref2
+        np.subtract(a, b, out=a)
+        counts += np.bincount(np.abs(a, out=a).sum(axis=1), minlength=n_bins)
     return counts
 
 
@@ -218,10 +250,12 @@ def generate_distribution(table: DataTable, option: str = "f",
 
     The run is split into sub-streams of 65,536 samples seeded from
     ``seed``, so results are bit-identical for any ``workers`` count.  Each
-    sub-stream is drawn in row blocks, which bounds working memory and
-    nothing else: a sub-stream holds about n bytes of merge flags per sample
-    (none for 'n' and 'r'), plus 4n bytes of solution ranks for 't' and 'r'.
-    Seeded results are identical to those of earlier versions.
+    sub-stream is drawn in row blocks of about 65,536 values and holds one
+    block at a time, so working memory stays at a few MB per worker and
+    does not grow with n up to 65,536; the blocks do not change the draws.
+    Seeded results are identical to those of earlier versions.  ``samples``
+    and ``workers`` must be positive integers, ``seed`` None or a
+    nonnegative integer.
     """
     if option not in OPTIONS:
         raise SrdError(f"unknown distribution option {option!r}")
@@ -235,10 +269,9 @@ def generate_distribution(table: DataTable, option: str = "f",
     n = table.n_rows
     if n < 2:
         raise SrdError("distribution generation needs at least two rows")
-    if samples < 1:
-        raise SrdError("sample count must be positive")
-    if workers < 1:
-        raise SrdError("worker count must be positive")
+    samples = checked_count(samples, "sample count")
+    workers = checked_count(workers, "worker count")
+    seed = checked_seed(seed)
 
     ref_label = table.reference_label
     ref2 = (2 * fractional_ranks(table.column(ref_label))).astype(np.int64)

@@ -67,28 +67,28 @@ def read_table(spec: TableFileSpec | str | Path) -> DataTable:
     if not isinstance(spec, TableFileSpec):
         spec = TableFileSpec(spec)
     path = Path(spec.path)
-    rows = [row for _, row in _csv_rows(path, spec.delimiter)
+    rows = [(line, row) for line, row in _csv_rows(path, spec.delimiter)
             if any(cell.strip() for cell in row)]
     if len(rows) < 2:
         raise SrdError(f"{path}: need a header row and at least one data row")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     col_labels = header[1:] if spec.has_row_names else header
     if not col_labels:
         raise SrdError(f"{path}: header defines no data columns")
     width = len(header)
     row_labels: list[str] = []
     values = np.empty((len(rows) - 1, len(col_labels)))
-    for i, row in enumerate(rows[1:], start=2):
+    for i, (line, row) in enumerate(rows[1:]):
         if len(row) != width:
             raise SrdError(
-                f"{path}: line {i} has {len(row)} fields, expected {width}"
+                f"{path}: line {line} has {len(row)} fields, expected {width}"
             )
         cells = [cell.strip() for cell in row]
         if spec.has_row_names:
             row_labels.append(cells[0])
             cells = cells[1:]
         else:
-            row_labels.append(str(i - 1))
+            row_labels.append(str(i + 1))
         for j, cell in enumerate(cells):
             try:
                 parsed = float(cell)
@@ -99,7 +99,7 @@ def read_table(spec: TableFileSpec | str | Path) -> DataTable:
                     f"{path}: cell at row {row_labels[-1]!r}, "
                     f"column {col_labels[j]!r} is not a finite number: {cell!r}"
                 )
-            values[i - 2, j] = parsed
+            values[i, j] = parsed
     return DataTable(values, tuple(row_labels), tuple(col_labels))
 
 

@@ -134,6 +134,13 @@ def test_crrn_missing_tie_prob_is_a_data_error(capsys, bundesliga_csv):
     assert "tie probability" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["crrn", "crossval"])
+def test_negative_seed_exits_two(capsys, bundesliga_csv, command):
+    assert main([command, bundesliga_csv, "--seed", "-1", "--no-save"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("srd: error: seed must be") and "Traceback" not in err
+
+
 def test_crossval_report_and_replay(capsys, tmp_path, bundesliga_csv):
     prefix = str(tmp_path / "cv")
     assert main(["crossval", bundesliga_csv, "--seed", "4", "-o", prefix]) == 0

@@ -56,6 +56,20 @@ class TestMakeFolds:
         with pytest.raises(SrdError):
             sk.make_folds(10, 2, "bootstrap")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(seed=-1), "seed must be an integer of at least 0, got -1"),
+        (dict(seed=2.5), "seed must be an integer"),
+        (dict(k=2.5), "fold count must be an integer of at least 2, got 2.5"),
+    ])
+    def test_bad_seed_or_fold_count_rejected(self, bundesliga, kwargs, message):
+        with pytest.raises(SrdError, match=message):
+            sk.make_folds(18, **{"k": 8, **kwargs})
+        with pytest.raises(SrdError, match=message):
+            sk.cross_validate(bundesliga, **kwargs)
+
+    def test_numpy_integer_seed_equals_int_seed(self):
+        assert sk.make_folds(18, np.int64(8), seed=np.int64(3)) == sk.make_folds(18, 8, seed=3)
+
     def test_scheme_validation(self):
         with pytest.raises(SrdError):
             sk.FoldScheme("subsample", ((0, 1), (0,)), 2)

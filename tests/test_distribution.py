@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,34 @@ class TestGenerateDistribution:
             sk.generate_distribution(bundesliga, option="f", samples=0)
         with pytest.raises(SrdError):
             sk.generate_distribution(bundesliga, option="f", samples=10, workers=0)
+
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(seed=-1), "seed must be an integer of at least 0, got -1"),
+        (dict(seed=1.0), "seed must be an integer"),
+        (dict(samples=2.5), "sample count must be an integer of at least 1, got 2.5"),
+        (dict(samples=True), "sample count must be an integer"),
+        (dict(workers=1.5), "worker count must be an integer of at least 1, got 1.5"),
+    ])
+    def test_bad_seed_samples_or_workers_rejected(self, bundesliga, kwargs, message):
+        with pytest.raises(SrdError, match=message):
+            sk.generate_distribution(bundesliga, option="f", **{"samples": 10, **kwargs})
+
+    def test_tied_sampler_memory_does_not_grow_with_n(self):
+        # A row block at a time needs a few MB whatever n is; holding a
+        # sub-stream's solution ranks until the references are drawn would
+        # take 105 MB here (65,536 x 400 int32).
+        n = 400
+        table = _pair_table(n)
+        for option, tie_prob in (("t", 0.2), ("r", None)):
+            tracemalloc.start()
+            try:
+                sk.generate_distribution(table, option, tie_prob=tie_prob,
+                                         samples=65_536, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6, (option, peak)
 
 
 class TestExactDistribution:

@@ -52,6 +52,16 @@ class TestReadTable:
         with pytest.raises(SrdError, match="line 3"):
             read_table(path)
 
+    def test_blank_lines_count_for_line_numbers_not_row_labels(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(";a;b\n\n\nr1;1;2\nr2;3\n", encoding="utf-8")
+        with pytest.raises(SrdError, match="line 5 has 2 fields, expected 3"):
+            read_table(path)
+        path.write_text("a;b\n\n1;2\n\n3;4\n", encoding="utf-8")
+        table = read_table(TableFileSpec(path, has_row_names=False))
+        assert table.row_labels == ("1", "2")
+        assert table.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_non_numeric_cell_reported_with_labels(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(";a;b\nr1;1;x\n", encoding="utf-8")

@@ -3,6 +3,7 @@ integer pair tests against the Fraction ones they replaced, the blocked
 integer CRRN sampler against the float generators it replaced, and the
 exact CRRN sweep against brute-force enumeration and closed forms."""
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -479,6 +480,23 @@ def test_random_tied_ranking_equals_float_oracle(n, tie_prob, seed):
     expected = _tied_batch(n, np.full(1, tie_prob), oracle_rng)[0]
     assert ranks.dtype == expected.dtype and np.array_equal(ranks, expected)
     assert rng.random() == oracle_rng.random()  # same draws consumed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 60), st.integers(1, 40),
+       st.integers(0, 3000), st.integers(1, 9))
+def test_numpy_draw_accounting_behind_phase_copies(seed, rows, width, donors, columns):
+    # The sampler reads each phase of a sub-stream from a copy of its generator
+    # advanced past the earlier phases.  That is exact only while a (rows,
+    # width) ``random`` draw takes rows * width PCG64 outputs, also after the
+    # buffered 32-bit ``integers`` draw of option 'd'.
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng.integers(0, columns, size=donors)
+    ahead = copy.deepcopy(rng)
+    ahead.bit_generator.advance(rows * width)
+    rng.random((rows, width))
+    assert rng.bit_generator.state["state"] == ahead.bit_generator.state["state"]
+    assert np.array_equal(rng.random((width, 3)), ahead.random((width, 3)))
 
 
 # -- exact CRRN null -----------------------------------------------------------
