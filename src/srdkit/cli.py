@@ -33,6 +33,8 @@ from .preprocess import (
 )
 from .tableio import (
     TableFileSpec,
+    delimited,
+    grid,
     read_replay,
     read_table,
     render_crossval_report,
@@ -143,10 +145,7 @@ def _cmd_detailed(args):
 def _cmd_rankmatrix(args):
     table = _load_table(args)
     matrix = rank_matrix(table)
-    rows = [[""] + list(matrix.col_labels)]
-    for i, label in enumerate(matrix.row_labels):
-        rows.append([label] + [f"{v:g}" for v in matrix.ranks[i, :]])
-    _print_aligned(rows)
+    _print_aligned(grid(matrix.col_labels, matrix.row_labels, matrix.ranks, "{:g}".format))
     if not args.no_save:
         write_rank_matrix(matrix, _out(args, "ranking_matrix.csv"), args.delimiter)
     return 0
@@ -160,12 +159,12 @@ def _cmd_maxsrd(args):
 def _cmd_tieprob(args):
     table = _load_table(args, with_reference=False)
     labels = [args.column] if args.column else list(table.col_labels)
-    lines = [(label, tie_probability(table.column(label))) for label in labels]
-    for label, value in lines:
-        print(f"{label}: {value:.7f}")
+    rows = [[label, f"{tie_probability(table.column(label)):.7f}"] for label in labels]
+    for label, value in rows:
+        print(f"{label}: {value}")
     if not args.no_save:
-        text = "".join(f"{label}{args.delimiter}{value:.7f}\n" for label, value in lines)
-        _out(args, "tie_probability.csv").write_text(text, encoding="utf-8")
+        _out(args, "tie_probability.csv").write_text(delimited(rows, args.delimiter),
+                                                     encoding="utf-8", newline="")
     return 0
 
 
@@ -188,10 +187,7 @@ def _cmd_reference(args):
 
 
 def _print_table(table):
-    rows = [[""] + list(table.col_labels)]
-    for i, label in enumerate(table.row_labels):
-        rows.append([label] + [f"{v:.7g}" for v in table.values[i, :]])
-    _print_aligned(rows)
+    _print_aligned(grid(table.col_labels, table.row_labels, table.values, "{:.7g}".format))
 
 
 def _cmd_crrn(args):

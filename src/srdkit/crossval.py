@@ -255,8 +255,6 @@ def _signed_rank_tail(w_doubled: int, k: int) -> float:
     it is rounded up to the next attainable value, matching the classical
     critical-value tables.
     """
-    if k > _MAX_EXACT_K:
-        raise SrdError(f"signed-rank test supports at most {_MAX_EXACT_K} folds")
     total = k * (k + 1) // 2
     counts = np.zeros(total + 1, dtype=np.int64)
     counts[0] = 1
@@ -283,16 +281,24 @@ def _paired_differences(a, b, test_name: str) -> tuple[list[int], int]:
     return [x * (common // den_a) - y * (common // den_b) for x, y in zip(a, b)], common
 
 
+def _check_signed_rank_folds(k: int) -> None:
+    if k > _MAX_EXACT_K:
+        raise SrdError(f"the signed-rank test supports at most {_MAX_EXACT_K} folds, "
+                       f"got {k}")
+
+
 def wilcoxon_pair_test(a, b) -> PairTestResult:
     """Signed-rank test between two solutions' fold scores.
 
     Zero differences are dropped; |differences| get average ranks; the
     reported statistic is |W+ - W-|.  With every difference zero the pair
-    is degenerate: statistic 0 and no significance.
+    is degenerate: statistic 0 and no significance.  The exact null takes
+    5 to 62 folds, zero differences included.
     """
     d, _ = _paired_differences(a, b, "the signed-rank test")
     if len(d) < 5:
         raise SrdError("the signed-rank test needs at least 5 folds")
+    _check_signed_rank_folds(len(d))
     d = [x for x in d if x]
     if not d:
         return PairTestResult(0.0, 1.0, CATEGORY_NONE)
@@ -422,10 +428,10 @@ def cross_validate(table: DataTable, test: str = "wilcoxon",
                    scheme: FoldScheme | None = None) -> CrossValReport:
     """Full cross-validation: folds, per-fold SRD, ordering, pair tests.
 
-    The signed-rank test defaults to 8 subsample folds; the two
-    paired-replication tests default to 10 half-split folds.  Passing a
-    ``scheme`` (for instance one read back from a replay file) reruns the
-    recorded folds exactly.
+    The signed-rank test defaults to 8 subsample folds and takes at most
+    62; the two paired-replication tests default to 10 half-split folds.
+    Passing a ``scheme`` (for instance one read back from a replay file)
+    reruns the recorded folds exactly.
     """
     if test not in TESTS:
         raise SrdError(f"unknown test {test!r}; expected one of {', '.join(TESTS)}")
@@ -434,6 +440,8 @@ def cross_validate(table: DataTable, test: str = "wilcoxon",
             k = 8 if test == "wilcoxon" else 10
         kind = "subsample" if test == "wilcoxon" else "half_split"
         scheme = make_folds(table.n_rows, k, kind, seed)
+    if test == "wilcoxon":
+        _check_signed_rank_folds(scheme.k)
     units, f_values, labels = _fold_raw_units(table, scheme)
     exact = [_Scaled(row, 2 * f) for row, f in zip(units.tolist(), f_values.tolist())]
     return evaluate_folds(exact, labels, test, scheme)

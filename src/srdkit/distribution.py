@@ -191,43 +191,45 @@ class _BlockBuffers:
         return np.take(pair_sums, groups, out=self.sorted2[:starts.size], mode="clip")
 
 
-def _chunk_counts(option: str, n: int, size: int, seed_seq: np.random.SeedSequence,
-                  ref2: np.ndarray, tie_probs: np.ndarray, n_bins: int) -> np.ndarray:
-    """Histogram of doubled raw SRD over one RNG sub-stream of ``size`` samples.
+def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.ndarray,
+                  n_bins: int) -> np.ndarray:
+    """Histogram of doubled raw SRD over the RNG sub-streams in ``chunks``.
 
-    ``ref2`` is the fixed reference's doubled ranks.  After the donor draw
-    ('d'), the sub-stream is consumed in phases, as by one ``rng.random`` call
-    each: per ranking, (size, n - 1) merge uniforms (tied options) and then
-    (size, n) permutation uniforms; for 'r' and 't' the solutions' phases,
-    then the references'.  ``Generator.random`` takes one PCG64 output per
-    double, so each phase reads a copy of the generator advanced to the
-    phase's start, and the phases advance together in row blocks of
-    ``_BLOCK`` elements.  Only one block is held, whatever ``size`` is.
+    ``chunks`` holds a (size, seed sequence) pair per sub-stream, and one set
+    of block buffers serves them all.  ``ref2`` is the fixed reference's
+    doubled ranks.  After the donor draw ('d'), a sub-stream is consumed in
+    phases, as by one ``rng.random`` call each: per ranking, (size, n - 1)
+    merge uniforms (tied options) and then (size, n) permutation uniforms;
+    for 'r' and 't' the solutions' phases, then the references'.
+    ``Generator.random`` takes one PCG64 output per double, so each phase
+    reads a copy of the generator advanced to the phase's start, and the
+    phases advance together in row blocks of ``_BLOCK`` elements.
     """
-    rng = np.random.default_rng(seed_seq)
-    if option == "d":
-        probs = tie_probs[rng.integers(0, tie_probs.shape[0], size=size)]
-    else:
-        probs = np.broadcast_to(tie_probs, (size,))
     tied = option not in ("n", "r")
     rankings = 2 if option in ("r", "t") else 1  # per sample
     widths = (([n - 1] if tied else []) + [n]) * rankings
-    streams = [rng]
-    for width in widths[:-1]:
-        streams.append(copy.deepcopy(streams[-1]))
-        streams[-1].bit_generator.advance(size * width)
-
     step = max(1, _BLOCK // n)
-    buffers = _BlockBuffers(min(size, step), n, rankings if tied else 0)
+    buffers = _BlockBuffers(min(max(size for size, _ in chunks), step), n,
+                            rankings if tied else 0)
     counts = np.zeros(n_bins, dtype=np.int64)
-    for start in range(0, size, step):
-        rows = min(step, size - start)
-        block_probs = probs[start:start + rows] if tied else None
-        draws = iter(streams)
-        a = buffers.ranking(draws, rows, block_probs, 0)
-        b = buffers.ranking(draws, rows, block_probs, 1) if rankings == 2 else ref2
-        np.subtract(a, b, out=a)
-        counts += np.bincount(np.abs(a, out=a).sum(axis=1), minlength=n_bins)
+    for size, seed_seq in chunks:
+        rng = np.random.default_rng(seed_seq)
+        if option == "d":
+            probs = tie_probs[rng.integers(0, tie_probs.shape[0], size=size)]
+        else:
+            probs = np.broadcast_to(tie_probs, (size,))
+        streams = [rng]
+        for width in widths[:-1]:
+            streams.append(copy.deepcopy(streams[-1]))
+            streams[-1].bit_generator.advance(size * width)
+        for start in range(0, size, step):
+            rows = min(step, size - start)
+            block_probs = probs[start:start + rows] if tied else None
+            draws = iter(streams)
+            a = buffers.ranking(draws, rows, block_probs, 0)
+            b = buffers.ranking(draws, rows, block_probs, 1) if rankings == 2 else ref2
+            np.subtract(a, b, out=a)
+            counts += np.bincount(np.abs(a, out=a).sum(axis=1), minlength=n_bins)
     return counts
 
 
@@ -291,17 +293,16 @@ def generate_distribution(table: DataTable, option: str = "f",
     n_bins = 2 * f + 1
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
+    chunks = [(min(_CHUNK, samples - i * _CHUNK), children[i]) for i in range(n_chunks)]
+    workers = min(workers, n_chunks)
 
-    def run(i: int) -> np.ndarray:
-        return _chunk_counts(option, n, sizes[i], children[i], ref2, tie_probs,
-                             n_bins)
+    def run(w: int) -> np.ndarray:  # integer counts add exactly in any order
+        return _chunk_counts(option, n, chunks[w::workers], ref2, tie_probs, n_bins)
 
-    if workers == 1:
-        counts = sum(run(i) for i in range(n_chunks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(run, range(n_chunks)))
+    # The calling thread is worker 0; the pool starts a thread per other worker.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        others = pool.map(run, range(1, workers))
+        counts = run(0) + sum(others)
 
     return _build_distribution(counts, samples, f, option=option, n_objects=n,
                                seed=seed, tie_prob=tie_prob, exact=False)

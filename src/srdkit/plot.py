@@ -16,6 +16,7 @@ import numpy as np
 from .core import DataTable, SrdError, SrdResult, fractional_ranks, max_srd
 from .crossval import BOX_ROWS, CATEGORY_NONE, CrossValReport
 from .distribution import SrdDistribution
+from .tableio import delimited, grid
 
 _HEX_COLOR = re.compile(r"^#[0-9a-fA-F]{6}$")
 
@@ -210,14 +211,14 @@ def plot_perm_test(result: SrdResult, dist: SrdDistribution,
         body.append(_tag("text", label, x=_num(x0 + w + 35), y=_num(swatch_y + 10),
                          font_size="10"))
 
-    lines = ["section,label,value"]
-    for label, score in zip(result.col_labels, result.normalized_srd):
-        lines.append(f"solution,{label},{score:.7f}")
-    lines.append(f"threshold,xx1,{dist.thresholds.xx1:.7f}")
-    lines.append(f"threshold,xx19,{dist.thresholds.xx19:.7f}")
-    for v, c in zip(dist.support, curve_y):
-        lines.append(f"{curve_label},{v:.6f},{c:.6f}")
-    return ChartDocument(_svg_document(width, height, body), "\n".join(lines) + "\n")
+    rows = [["section", "label", "value"]]
+    rows += [["solution", label, f"{score:.7f}"]
+             for label, score in zip(result.col_labels, result.normalized_srd.tolist())]
+    rows += [["threshold", "xx1", f"{dist.thresholds.xx1:.7f}"],
+             ["threshold", "xx19", f"{dist.thresholds.xx19:.7f}"]]
+    rows += [[curve_label, f"{v:.6f}", f"{c:.6f}"]
+             for v, c in zip(dist.support.tolist(), curve_y.tolist())]
+    return ChartDocument(_svg_document(width, height, body), delimited(rows, ","))
 
 
 def plot_crossval(report: CrossValReport) -> ChartDocument:
@@ -271,16 +272,11 @@ def plot_crossval(report: CrossValReport) -> ChartDocument:
         body.append(_tag("text", symbol, x=_num(cx), y=_num(y0 + 10),
                          font_size="13", text_anchor="middle"))
 
-    ordered_labels = [report.solution_labels[j] for j in order]
-    lines = [";".join([""] + ordered_labels)]
-    for r, name in enumerate(BOX_ROWS):
-        lines.append(";".join([name] + [f"{report.box_summary[r, j]:.4f}"
-                                        for j in order]))
-    lines.append(";".join(["mean"] + [f"{means[j]:.4f}" for j in order]))
-    lines.append("")
-    lines.append("significance")
-    lines.append(" ".join(f'"{p.category}"' for p in report.pair_results))
-    return ChartDocument(_svg_document(width, height, body), "\n".join(lines) + "\n")
+    boxes = grid([report.solution_labels[j] for j in order], BOX_ROWS + ("mean",),
+                 np.vstack([report.box_summary, means])[:, order], "{:.4f}".format)
+    categories = " ".join(f'"{p.category}"' for p in report.pair_results)
+    data = delimited(boxes) + f"\nsignificance\n{categories}\n"
+    return ChartDocument(_svg_document(width, height, body), data)
 
 
 def plot_heatmap(matrix: PairwiseMatrix,
@@ -332,7 +328,5 @@ def plot_heatmap(matrix: PairwiseMatrix,
         body.append(_tag("text", f"{idx / b:.2f}", x=_num(x), y=_num(y + 24),
                          font_size="9"))
 
-    lines = [";".join([""] + list(matrix.labels))]
-    for i, label in enumerate(matrix.labels):
-        lines.append(";".join([label] + [f"{v:.7f}" for v in values[i, :]]))
-    return ChartDocument(_svg_document(width, height, body), "\n".join(lines) + "\n")
+    data = delimited(grid(matrix.labels, matrix.labels, values, "{:.7f}".format))
+    return ChartDocument(_svg_document(width, height, body), data)

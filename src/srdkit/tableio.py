@@ -8,6 +8,7 @@ re-parses to the identical float.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,10 +104,6 @@ def read_table(spec: TableFileSpec | str | Path) -> DataTable:
     return DataTable(values, tuple(row_labels), tuple(col_labels))
 
 
-def _float_repr(x: float) -> str:
-    return repr(float(x))
-
-
 def _grid_repr(x: float) -> str:
     """Integers bare, half-integers with one decimal, anything else 7 digits."""
     if x == int(x):
@@ -116,32 +113,46 @@ def _grid_repr(x: float) -> str:
     return f"{x:.7g}"
 
 
-def _write_rows(path: Path, rows, delimiter: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, delimiter=delimiter, lineterminator="\n").writerows(rows)
+def grid(col_labels, row_labels, rows, fmt) -> list[list[str]]:
+    """A header of column labels, then one labelled row of formatted cells per item.
+
+    ``rows`` is a 2-D array or nested sequence of numbers; ``fmt`` formats
+    each one as a Python float.
+    """
+    cells = np.asarray(rows, dtype=float).tolist()
+    return [["", *col_labels]] + [[label, *map(fmt, row)]
+                                  for label, row in zip(row_labels, cells)]
+
+
+def delimited(rows, delimiter: str = ";") -> str:
+    """Rows of cells as delimited text with csv quoting and "\n" line ends.
+
+    A cell holding the delimiter, a quote or a line break is quoted, so
+    ``csv.reader`` reads every cell back whatever the labels hold.
+    """
+    text = io.StringIO()
+    csv.writer(text, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+def _write_text(path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def write_table(table: DataTable, path, delimiter: str = ";") -> None:
-    rows = [[""] + list(table.col_labels)]
-    for i, label in enumerate(table.row_labels):
-        rows.append([label] + [_float_repr(v) for v in table.values[i, :]])
-    _write_rows(Path(path), rows, delimiter)
+    rows = grid(table.col_labels, table.row_labels, table.values, repr)
+    _write_text(path, delimited(rows, delimiter))
 
 
 def write_rank_matrix(matrix: RankMatrix, path, delimiter: str = ";") -> None:
-    rows = [[""] + list(matrix.col_labels)]
-    for i, label in enumerate(matrix.row_labels):
-        rows.append([label] + [_grid_repr(v) for v in matrix.ranks[i, :]])
-    _write_rows(Path(path), rows, delimiter)
+    rows = grid(matrix.col_labels, matrix.row_labels, matrix.ranks, _grid_repr)
+    _write_text(path, delimited(rows, delimiter))
 
 
 def write_srd_result(result: SrdResult, path, delimiter: str = ";") -> None:
     kind = "normalized_srd" if result.normalized else "raw_srd"
-    rows = [
-        [""] + list(result.col_labels),
-        [kind] + [f"{v:.7f}" for v in result.scores],
-    ]
-    _write_rows(Path(path), rows, delimiter)
+    rows = grid(result.col_labels, [kind], [result.scores], "{:.7f}".format)
+    _write_text(path, delimited(rows, delimiter))
 
 
 def render_detail_rows(detail: SrdDetail) -> list[list[str]]:
@@ -185,38 +196,32 @@ def render_detail_rows(detail: SrdDetail) -> list[list[str]]:
 
 
 def write_detailed(detail: SrdDetail, path, delimiter: str = ";") -> None:
-    _write_rows(Path(path), render_detail_rows(detail), delimiter)
+    _write_text(path, delimited(render_detail_rows(detail), delimiter))
 
 
 def render_distribution(dist: SrdDistribution) -> str:
     """Support/frequency rows followed by the labeled threshold lines."""
-    if dist.support.size == 0:
-        raise SrdError("refusing to write a distribution with empty support")
-    lines = ["SRD_value,relative_frequency"]
-    for value, freq in zip(dist.support, dist.frequency):
-        lines.append(f"{value:.6f},{freq:.6f}")
     t = dist.thresholds
-    lines += [
-        f"xx1,{t.xx1:.4f}",
-        f"q1,{t.q1:.4f}",
-        f"median,{t.median:.4f}",
-        f"q3,{t.q3:.4f}",
-        f"xx19,{t.xx19:.4f}",
-        f"avg,{t.mean:.7f}",
-        f"std_dev,{t.std_dev:.7f}",
-    ]
-    return "\n".join(lines) + "\n"
+    rows = [["SRD_value", "relative_frequency"]]
+    rows += [[f"{value:.6f}", f"{freq:.6f}"]
+             for value, freq in zip(dist.support.tolist(), dist.frequency.tolist())]
+    rows += [["xx1", f"{t.xx1:.4f}"], ["q1", f"{t.q1:.4f}"],
+             ["median", f"{t.median:.4f}"], ["q3", f"{t.q3:.4f}"],
+             ["xx19", f"{t.xx19:.4f}"], ["avg", f"{t.mean:.7f}"],
+             ["std_dev", f"{t.std_dev:.7f}"]]
+    return delimited(rows, ",")
 
 
 def write_distribution(dist: SrdDistribution, path) -> None:
-    Path(path).write_text(render_distribution(dist), encoding="utf-8")
+    _write_text(path, render_distribution(dist))
 
 
 def render_crossval_report(report: CrossValReport, delimiter: str = ";") -> str:
     """Blocks of the cross-validation report, columns in median order."""
     order = list(report.column_order)
-    ordered_labels = [report.solution_labels[j] for j in order]
-    lines = [
+    labels = [report.solution_labels[j] for j in order]
+    folds = [f"fold_{i + 1}" for i in range(report.fold_srd.shape[0])]
+    head = [
         "new_column_order_based_on_folds",
         " ".join(str(j + 1) for j in order),
         "",
@@ -227,20 +232,15 @@ def render_crossval_report(report: CrossValReport, delimiter: str = ";") -> str:
         " ".join(f'"{r.category}"' for r in report.pair_results),
         "",
         "SRD_values_of_different_folds",
-        delimiter.join([""] + ordered_labels),
     ]
-    for i in range(report.fold_srd.shape[0]):
-        cells = [f"{report.fold_srd[i, j]:.7f}" for j in order]
-        lines.append(delimiter.join([f"fold_{i + 1}"] + cells))
-    lines += ["", "boxplot_values", delimiter.join([""] + ordered_labels)]
-    for r, name in enumerate(BOX_ROWS):
-        cells = [f"{report.box_summary[r, j]:.4f}" for j in order]
-        lines.append(delimiter.join([name] + cells))
-    return "\n".join(lines) + "\n"
+    fold_grid = grid(labels, folds, report.fold_srd[:, order], "{:.7f}".format)
+    box_grid = grid(labels, BOX_ROWS, report.box_summary[:, order], "{:.4f}".format)
+    return ("\n".join(head) + "\n" + delimited(fold_grid, delimiter)
+            + "\nboxplot_values\n" + delimited(box_grid, delimiter))
 
 
 def write_crossval_report(report: CrossValReport, path, delimiter: str = ";") -> None:
-    Path(path).write_text(render_crossval_report(report, delimiter), encoding="utf-8")
+    _write_text(path, render_crossval_report(report, delimiter))
 
 
 def write_replay(report: CrossValReport, path, delimiter: str = ";") -> None:
@@ -256,7 +256,7 @@ def write_replay(report: CrossValReport, path, delimiter: str = ";") -> None:
     ]
     for i, fold in enumerate(scheme.folds):
         rows.append([f"fold_{i + 1}"] + [str(idx) for idx in fold])
-    _write_rows(Path(path), rows, delimiter)
+    _write_text(path, delimited(rows, delimiter))
 
 
 def read_replay(path, delimiter: str = ";") -> tuple[str, FoldScheme]:
@@ -327,10 +327,8 @@ def _replay_ints(path, fields, key: str, cells: list[str]) -> list[int]:
 
 
 def write_pairwise(matrix, path, delimiter: str = ";") -> None:
-    rows = [[""] + list(matrix.labels)]
-    for i, label in enumerate(matrix.labels):
-        rows.append([label] + [f"{v:.7f}" for v in matrix.values[i, :]])
-    _write_rows(Path(path), rows, delimiter)
+    rows = grid(matrix.labels, matrix.labels, matrix.values, "{:.7f}".format)
+    _write_text(path, delimited(rows, delimiter))
 
 
 def write_chart_files(doc, svg_path, data_path=None) -> None:
@@ -338,5 +336,5 @@ def write_chart_files(doc, svg_path, data_path=None) -> None:
     svg_path = Path(svg_path)
     if data_path is None:
         data_path = svg_path.with_name(svg_path.stem + "_data.csv")
-    svg_path.write_text(doc.svg, encoding="utf-8")
-    Path(data_path).write_text(doc.data, encoding="utf-8")
+    _write_text(svg_path, doc.svg)
+    _write_text(data_path, doc.data)

@@ -1,3 +1,6 @@
+import csv
+
+import numpy as np
 import pytest
 
 import srdkit as sk
@@ -10,6 +13,13 @@ from srdkit.tableio import write_table
 def bundesliga_csv(tmp_path, bundesliga):
     path = tmp_path / "bundesliga.csv"
     write_table(bundesliga, path)
+    return str(path)
+
+
+@pytest.fixture()
+def tied_csv(tmp_path):
+    path = tmp_path / "tied.csv"
+    path.write_text(";A;B;ref\nr1;1;2;1\nr2;1;3;2\nr3;1;3;3\nr4;5;1;4\n")
     return str(path)
 
 
@@ -75,6 +85,57 @@ def test_tieprob_single_column(capsys, bundesliga_csv, tmp_path):
     label, value = capsys.readouterr().out.split(":")
     assert label == "pts"
     assert float(value) == pytest.approx(4 / 17)
+
+
+def test_rankmatrix_file_text(capsys, tmp_path, tied_csv):
+    assert main(["rankmatrix", tied_csv, "-o", str(tmp_path / "m")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "m_ranking_matrix.csv").read_text() == (
+        ";A;B\nr1;2;2\nr2;2;3.5\nr3;2;3.5\nr4;4;1\n")
+
+
+def test_tieprob_file_text(capsys, tmp_path, tied_csv):
+    assert main(["tieprob", tied_csv, "-o", str(tmp_path / "t")]) == 0
+    assert capsys.readouterr().out == "A: 0.6666667\nB: 0.3333333\nref: 0.0000000\n"
+    assert (tmp_path / "t_tie_probability.csv").read_text() == (
+        "A;0.6666667\nB;0.3333333\nref;0.0000000\n")
+
+
+def test_quoted_labels_read_back_from_every_delimited_file(capsys, tmp_path):
+    solutions = ["a;b", "c,d", 'say "hi"']
+    rows = ["r;1", "r,2", 'r"3'] + [f"r{i}" for i in range(4, 13)]
+    rng = np.random.default_rng(3)
+    columns = {label: rng.integers(0, 6, len(rows)) for label in solutions}
+    table = sk.from_columns({**columns, "ref": np.arange(len(rows))}, rows)
+    path = tmp_path / "quoted.csv"
+    write_table(table, path)
+    assert sk.read_table(path).col_labels == table.col_labels
+    prefix = str(tmp_path / "q")
+    for argv in (["values"], ["rankmatrix"], ["tieprob"], ["heatmap"],
+                 ["crossval", "--plot", "--seed", "1"],
+                 ["crrn", "--plot", "--samples", "2000", "--seed", "1"]):
+        assert main([argv[0], str(path), *argv[1:], "-o", prefix]) == 0
+    capsys.readouterr()
+
+    def read(suffix, delimiter=";"):
+        with open(tmp_path / f"q_{suffix}", newline="", encoding="utf-8") as handle:
+            return list(csv.reader(handle, delimiter=delimiter))
+
+    everything = solutions + ["ref"]
+    assert read("srd_values.csv")[0] == ["", *solutions]
+    assert [row[0] for row in read("ranking_matrix.csv")] == ["", *rows]
+    assert [row[0] for row in read("tie_probability.csv")] == everything
+    for suffix in ("pairwise.csv", "heatmap_data.csv"):
+        grid = read(suffix)
+        assert grid[0] == ["", *everything]
+        assert [row[0] for row in grid[1:]] == everything
+    report = read("crossval.csv")
+    header = report[report.index(["SRD_values_of_different_folds"]) + 1]
+    boxes = report[report.index(["boxplot_values"]) + 1]
+    chart = read("crossval_data.csv")[0]
+    assert header == boxes == chart and sorted(header) == sorted(["", *solutions])
+    perm = read("permtest_data.csv", ",")
+    assert [row[1] for row in perm if row[0] == "solution"] == solutions
 
 
 def test_preprocess_requires_method(capsys, bundesliga_csv):
@@ -154,6 +215,15 @@ def test_crossval_report_and_replay(capsys, tmp_path, bundesliga_csv):
                  str(tmp_path / "cv_replay.csv"), "-o", replay_prefix]) == 0
     capsys.readouterr()
     assert (tmp_path / "again_crossval.csv").read_bytes() == report
+
+
+def test_crossval_beyond_signed_rank_fold_limit_exits_two(capsys, tmp_path):
+    path = tmp_path / "tall.csv"
+    rows = np.arange(64.0)
+    write_table(sk.from_columns({"a": rows[::-1], "b": rows % 7, "ref": rows}), path)
+    assert main(["crossval", str(path), "--folds", "63", "--no-save"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("srd: error: the signed-rank test supports at most 62 folds")
 
 
 @pytest.mark.parametrize("old, new, line", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import srdkit as sk
-from srdkit import SrdError
+from srdkit import SrdError, crossval
 from srdkit.crossval import BOX_ROWS
 from tests.conftest import (
     PUBLISHED_CATEGORIES,
@@ -232,6 +232,17 @@ class TestWilcoxonPairTest:
         with pytest.raises(SrdError, match="equal length"):
             sk.wilcoxon_pair_test([1, 2, 3, 4, 5], [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("zeros", [0, 1, 5])
+    def test_fold_limit_counts_zero_differences(self, zeros):
+        a = list(range(63))
+        b = [x + 0.5 for x in a[zeros:]]
+        with pytest.raises(SrdError, match="at most 62 folds, got 63"):
+            sk.wilcoxon_pair_test(a, a[:zeros] + b)
+
+    def test_sixty_two_folds_are_exact(self):
+        result = sk.wilcoxon_pair_test(list(range(62)), [x + 0.5 for x in range(62)])
+        assert result.p_value == 2 / 2**62
+
 
 class TestDietterichPairTest:
     def test_alternating_unit_differences(self):
@@ -379,6 +390,20 @@ class TestCrossValidate:
                 r.category in ("n.s.", "(p<0.1)", "(p<0.05*)")
                 for r in report.pair_results
             )
+
+    def test_signed_rank_fold_limit_is_checked_before_scoring(self, monkeypatch):
+        rows = np.arange(70.0)
+        table = sk.from_columns({"a": rows[::-1], "b": rows % 7, "ref": rows})
+        assert sk.cross_validate(table, k=62, seed=1).scheme.k == 62
+
+        def no_scoring(*args):
+            raise AssertionError("folds were scored")
+
+        monkeypatch.setattr(crossval, "_fold_raw_units", no_scoring)
+        with pytest.raises(SrdError, match="at most 62 folds, got 70"):
+            sk.cross_validate(table, k=70, seed=1)
+        with pytest.raises(SrdError, match="at most 62 folds, got 63"):
+            sk.cross_validate(table, scheme=sk.make_folds(70, 63, seed=2))
 
     def test_single_solution_has_no_pairs(self):
         table = sk.from_columns(

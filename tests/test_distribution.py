@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import srdkit as sk
-from srdkit import SrdError
+from srdkit import SrdError, distribution
 from srdkit.core import max_srd
 
 
@@ -112,6 +112,17 @@ class TestGenerateDistribution:
                                              workers=workers)
             assert np.array_equal(base.support, other.support)
             assert np.array_equal(base.frequency, other.frequency)
+
+    def test_each_worker_builds_its_block_buffers_once(self, bundesliga, monkeypatch):
+        built = []
+        real = distribution._BlockBuffers
+        monkeypatch.setattr(distribution, "_BlockBuffers",
+                            lambda *args: built.append(args) or real(*args))
+        for workers, expected in ((1, 1), (2, 2), (8, 3)):  # three sub-streams
+            built.clear()
+            sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10,
+                                     workers=workers)
+            assert len(built) == expected
 
     def test_missing_tie_prob_rejected(self, bundesliga):
         for option in ("t", "p"):
