@@ -199,34 +199,50 @@ class TieGroups:
     the whole matrix, column after column and ascending by value within a
     column, so one ``bincount`` over a set of rows counts the selected
     members of every group of every column at once.
+
+    ``labels`` is (m, n) for an n x m matrix: one contiguous row per column,
+    so a set of rows is gathered from each column's row in one ``take``.
+    Labels and doubled ranks (at most 2n) are int32, or int64 for matrices
+    of 2^30 cells or more.  Two steps need int64: the count table, whose
+    running sum spans the selected rows of every column, and any sum of
+    rank differences, since one column's doubled raw SRD passes 2^31 from
+    46,341 rows.
     """
 
     def __init__(self, values: np.ndarray) -> None:
         cols = np.ascontiguousarray(values.T)
+        m, n = cols.shape
         order = np.argsort(cols, axis=1)  # tied values need no stable order
-        ordered = np.take_along_axis(cols, order, axis=1)
-        starts = np.ones(cols.shape, dtype=bool)
-        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        dtype = np.int32 if cols.size < 2**31 else np.int64
-        labels = np.cumsum(starts, axis=None, dtype=dtype).reshape(cols.shape) - 1
+        order += n * np.arange(m)[:, None]
+        flat = order.ravel()
+        ordered = cols.take(flat)
+        starts = np.empty(cols.size, dtype=bool)
+        starts[1:] = ordered[1:] != ordered[:-1]
+        starts[::n] = True  # each column's smallest value opens a group
+        dtype = np.int32 if 2 * cols.size < 2**31 else np.int64
+        labels = np.cumsum(starts, dtype=dtype)
+        labels -= 1
         groups = np.empty_like(labels)
-        np.put_along_axis(groups, order, labels, axis=1)
-        self.labels = np.ascontiguousarray(groups.T)
-        self.count = int(labels[-1, -1]) + 1
+        groups[flat] = labels
+        self.labels = groups.reshape(m, n)
+        self.count = int(labels[-1]) + 1
+        self._label_cols = np.flatnonzero(starts)
+        self._label_cols //= n
 
     def doubled_ranks(self, rows=None) -> np.ndarray:
-        """Twice the average ranks of the given rows, ranked among themselves.
+        """Twice the (m, k) average ranks of k given rows, ranked among themselves.
 
         A tie group preceded by e selected rows of its column and holding c
         selected rows covers ranks e + 1 .. e + c, so its doubled average
         rank is the integer 2e + c + 1.  All rows are ranked when ``rows``
-        is None.
+        is None.  Row j of the result is column j of the matrix.
         """
-        sub = self.labels if rows is None else self.labels[rows]
+        sub = self.labels if rows is None else self.labels.take(rows, axis=1)
         counts = np.bincount(sub.ravel(), minlength=self.count)
         doubled = 2 * np.cumsum(counts) - counts + 1
         # The labels count the selected rows of every earlier column too.
-        return doubled[sub] - 2 * len(sub) * np.arange(sub.shape[1])
+        doubled -= 2 * sub.shape[1] * self._label_cols
+        return doubled.astype(self.labels.dtype).take(sub)
 
 
 def fractional_ranks(values) -> np.ndarray:
@@ -244,7 +260,7 @@ def fractional_ranks(values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise SrdError("ranking requires finite values")
     doubled = TieGroups(arr.reshape(arr.shape[0], -1)).doubled_ranks()
-    return (doubled / 2).reshape(arr.shape)
+    return (doubled / 2).T.reshape(arr.shape)
 
 
 def max_srd(n: int) -> int:

@@ -209,7 +209,7 @@ def _fold_raw_units(table: DataTable, scheme: FoldScheme):
                 f"but the table has {table.n_rows} rows"
             )
         ranks = groups.doubled_ranks(rows)
-        units[fi] = np.abs(ranks - ranks[:, [ref_idx]]).sum(axis=0)[sol_idx]
+        units[fi] = np.abs(ranks - ranks[ref_idx]).sum(axis=1, dtype=np.int64)[sol_idx]
         f_values[fi] = max_srd(rows.size)
     labels = tuple(table.col_labels[j] for j in sol_idx)
     return units, f_values, labels

@@ -258,6 +258,17 @@ def test_replay_of_unequal_subsample_folds_exits_two(capsys, tmp_path, bundeslig
     assert err.startswith("srd: error: ") and "same number of rows" in err
 
 
+def test_replay_naming_a_row_past_the_table_exits_two(capsys, tmp_path, bundesliga_csv):
+    folds = [list(range(15))] * 5
+    folds[2] = list(range(14)) + [18]
+    replay = tmp_path / "replay.csv"
+    replay.write_text("test;wilcoxon\nkind;subsample\nk;5\nseed;none\n" + "".join(
+        f"fold_{i + 1};" + ";".join(map(str, fold)) + "\n" for i, fold in enumerate(folds)))
+    assert main(["crossval", bundesliga_csv, "--replay", str(replay), "--no-save"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("srd: error: fold 3 refers to row 18")
+
+
 @pytest.mark.parametrize("old, new", [
     (b"Bayern", b"Bay\xffern"),  # not UTF-8
     (b"Bayern", b"B" * 140_000),  # beyond the csv module's field size limit

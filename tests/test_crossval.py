@@ -142,9 +142,26 @@ class TestCrossvalSrd:
         assert np.allclose(matrix, published_folds_float, atol=5e-8)
 
     def test_out_of_range_fold_index(self, bundesliga):
-        scheme = sk.FoldScheme("subsample", ((0, 1, 99),), 1)
-        with pytest.raises(SrdError, match="row 99"):
-            sk.crossval_srd(bundesliga, scheme)
+        # Row 18 is the first past the table; the check must come before the
+        # rank gather, which would raise IndexError instead.
+        folds = [tuple(range(15))] * 5
+        folds[2] = tuple(range(14)) + (18,)
+        scheme = sk.FoldScheme("subsample", tuple(folds), 5)
+        for run in (sk.crossval_srd, sk.cross_validate):
+            with pytest.raises(SrdError, match="fold 3 refers to row 18"):
+                run(bundesliga, scheme=scheme)
+
+    def test_sums_past_int32_stay_exact(self):
+        # A reversed column of 52,500 retained rows has a doubled raw SRD of
+        # 52,500^2 = 2.76e9, past 2^31: rank sums accumulated in int32 wrap.
+        n = 60_000
+        table = sk.from_columns({"rev": np.arange(n)[::-1], "ref": np.arange(n)},
+                                reference="ref")
+        assert sk.srd_values(table).normalized_srd.tolist() == [1.0]
+        scheme = sk.make_folds(n, 8, seed=1)
+        assert {len(fold) for fold in scheme.folds} == {52_500}
+        assert sk.crossval_srd(table, scheme).tolist() == [[1.0]] * 8
+        assert sk.pairwise_srd(table).values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def _brute_force_p(a, b):
