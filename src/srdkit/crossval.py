@@ -42,49 +42,59 @@ BOX_ROWS = ("min", "xx1", "q1", "median", "q3", "xx19", "max")
 _MAX_EXACT_K = 62  # subset-sum counts stay within int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FoldScheme:
     """Retained-row index sets for a cross-validation run.
 
     ``subsample`` folds each keep n - ceil(n/k) rows with independently
     drawn discards; ``half_split`` folds come in k/2 replications, each a
-    partition of the rows into two complementary halves.  A scheme built
-    by hand or read from a file is checked for exactly that shape;
-    ``make_folds`` draws valid folds by construction and skips the check.
+    partition of the rows into two complementary halves.  Every scheme, drawn,
+    built by hand or read from a file, is checked for exactly that shape.
+    ``rows`` holds each fold as a read-only intp array; ``folds`` gives them
+    as tuples of Python ints, built anew on every access.
     """
 
     kind: str
-    folds: tuple[tuple[int, ...], ...]
+    rows: tuple[np.ndarray, ...]
     k: int
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in FOLD_KINDS:
-            raise SrdError(f"unknown fold kind {self.kind!r}")
-        folds = tuple(_checked_fold(fold) for fold in self.folds)
-        object.__setattr__(self, "folds", folds)
-        if len(folds) != self.k:
-            raise SrdError(f"expected {self.k} folds, got {len(folds)}")
-        if self.kind == "subsample":
-            if len({len(fold) for fold in folds}) > 1:
-                raise SrdError("subsample folds must all retain the same number of rows")
-        else:
-            _check_half_splits(folds)
+    def __init__(self, kind: str, folds, k: int, seed: int | None = None) -> None:
+        if kind not in FOLD_KINDS:
+            raise SrdError(f"unknown fold kind {kind!r}")
+        k, seed = checked_count(k, "fold count", 1), checked_seed(seed)
+        rows = tuple(_checked_fold(fold) for fold in folds)
+        if len(rows) != k:
+            raise SrdError(f"expected {k} folds, got {len(rows)}")
+        if kind == "half_split":
+            _check_half_splits(rows)
+        elif len({fold.size for fold in rows}) > 1:
+            raise SrdError("subsample folds must all retain the same number of rows")
+        self.__dict__.update(kind=kind, rows=rows, k=k, seed=seed)
 
-    @classmethod
-    def _drawn(cls, kind: str, folds, k: int, seed: int | None) -> "FoldScheme":
-        """A scheme from ``make_folds``, whose folds are valid as drawn."""
-        scheme = object.__new__(cls)
-        scheme.__dict__.update(kind=kind, folds=folds, k=k, seed=seed)
-        return scheme
+    @property
+    def folds(self) -> tuple[tuple[int, ...], ...]:
+        """The folds as tuples of Python ints; dense folds share one int per row index."""
+        top = max(int(fold.max()) for fold in self.rows)
+        if top > sum(fold.size for fold in self.rows):  # a pool of top + 1 ints could be huge
+            return tuple(tuple(fold.tolist()) for fold in self.rows)
+        pool = np.arange(top + 1).astype(object)
+        return tuple(tuple(pool[fold].tolist()) for fold in self.rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FoldScheme) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.kind, self.k, self.seed, *(fold.tobytes() for fold in self.rows)
 
 
-def _checked_fold(fold) -> tuple[int, ...]:
-    """One fold's row indices as a tuple of Python ints, after validation."""
-    if not isinstance(fold, (tuple, list, np.ndarray)):
-        fold = tuple(fold)
+def _checked_fold(fold) -> np.ndarray:
+    """One fold's row indices as a read-only intp array, after validation."""
     try:
-        arr = np.asarray(fold)
+        arr = np.asarray(fold if isinstance(fold, (tuple, list, np.ndarray)) else tuple(fold))
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
@@ -92,23 +102,25 @@ def _checked_fold(fold) -> tuple[int, ...]:
     if arr.size < 2:
         raise SrdError("every fold must retain at least 2 rows")
     ordered = np.sort(arr)
-    if ordered[0] < 0 or np.any(ordered[1:] == ordered[:-1]):
+    if ordered[0] < 0 or (ordered[1:] == ordered[:-1]).any():
         raise SrdError("fold indices must be unique and nonnegative")
-    return tuple(arr.tolist())
+    if int(ordered[-1]) > np.iinfo(np.intp).max:
+        raise SrdError(f"fold index {ordered[-1]} is past the largest addressable row")
+    rows = arr.astype(np.intp)
+    rows.flags.writeable = False
+    return rows
 
 
 def _check_half_splits(folds) -> None:
     """Each replication's two halves are disjoint and cover one common row set."""
     if len(folds) % 2:
         raise SrdError("half-split folds come in pairs; got an odd fold count")
-    covered = None
+    covered = np.sort(np.concatenate(folds[:2]))
     for i in range(0, len(folds), 2):
-        rows = np.sort(np.array(folds[i] + folds[i + 1]))
-        if np.any(rows[1:] == rows[:-1]):
+        rows = np.sort(np.concatenate(folds[i:i + 2]))
+        if (rows[1:] == rows[:-1]).any():
             raise SrdError(f"half-split folds {i + 1} and {i + 2} share a row")
-        if covered is None:
-            covered = rows
-        elif not np.array_equal(rows, covered):
+        if not np.array_equal(rows, covered):
             raise SrdError(f"half-split folds {i + 1} and {i + 2} cover other rows "
                            f"than folds 1 and 2")
 
@@ -151,37 +163,29 @@ class CrossValReport:
 def make_folds(n: int, k: int, kind: str = "subsample",
                seed: int | None = None) -> FoldScheme:
     """Draw the retained-row sets for a k-fold run over n rows."""
-    if kind not in FOLD_KINDS:
-        raise SrdError(f"unknown fold kind {kind!r}")
     k = checked_count(k, "fold count", 2)
     rng = np.random.default_rng(checked_seed(seed))
-    folds: list[tuple[int, ...]] = []
+    folds = []
     if kind == "subsample":
         if n < k:
             raise SrdError(f"subsample folds need at least k={k} rows, got {n}")
         drop = -(-n // k)  # ceil(n/k)
         if n - drop < 2:
             raise SrdError(f"removing {drop} of {n} rows leaves fewer than 2")
-    else:
+        for _ in range(k):
+            kept = np.ones(n, dtype=bool)
+            kept[rng.choice(n, size=drop, replace=False)] = False
+            folds.append(np.flatnonzero(kept))
+    elif kind == "half_split":
         if k % 2:
             raise SrdError("half-split folds need an even fold count")
         if n // 2 < 2:
             raise SrdError(f"half-split folds need at least 4 rows, got {n}")
-    # Every fold picks its rows from one set of int objects, so k folds over
-    # a long table hold n ints rather than k * n.
-    rows = np.arange(n).astype(object)
-    if kind == "subsample":
-        for _ in range(k):
-            kept = np.ones(n, dtype=bool)
-            kept[rng.choice(n, size=drop, replace=False)] = False
-            folds.append(tuple(rows[kept].tolist()))
-    else:
         for _ in range(k // 2):
             first = np.zeros(n, dtype=bool)
             first[rng.permutation(n)[:(n + 1) // 2]] = True
-            folds.append(tuple(rows[first].tolist()))
-            folds.append(tuple(rows[~first].tolist()))
-    return FoldScheme._drawn(kind, tuple(folds), k, seed)
+            folds += np.flatnonzero(first), np.flatnonzero(~first)
+    return FoldScheme(kind, folds, k, seed)  # rejects any other kind
 
 
 def _fold_raw_units(table: DataTable, scheme: FoldScheme):
@@ -199,10 +203,9 @@ def _fold_raw_units(table: DataTable, scheme: FoldScheme):
     if not sol_idx:
         raise SrdError("cross-validation needs at least one solution column")
     groups = TieGroups(table.values)
-    units = np.zeros((len(scheme.folds), len(sol_idx)), dtype=np.int64)
-    f_values = np.zeros(len(scheme.folds), dtype=np.int64)
-    for fi, keep in enumerate(scheme.folds):
-        rows = np.fromiter(keep, dtype=np.intp, count=len(keep))
+    units = np.zeros((scheme.k, len(sol_idx)), dtype=np.int64)
+    f_values = np.zeros(scheme.k, dtype=np.int64)
+    for fi, rows in enumerate(scheme.rows):
         if rows.max() >= table.n_rows:
             raise SrdError(
                 f"fold {fi + 1} refers to row {rows.max()}, "

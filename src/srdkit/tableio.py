@@ -2,7 +2,10 @@
 
 All files are plain delimited text with '.' as the decimal mark.  Tables
 round-trip exactly: values are written with a shortest representation that
-re-parses to the identical float.
+re-parses to the identical float, and labels are quoted where they need it.
+``read_table`` strips whitespace around every cell, so that hand-typed
+headers such as ``a; b`` read as intended; a label that starts or ends with
+whitespace therefore comes back without it.
 """
 
 from __future__ import annotations
@@ -128,11 +131,19 @@ def delimited(rows, delimiter: str = ";") -> str:
     """Rows of cells as delimited text with csv quoting and "\n" line ends.
 
     A cell holding the delimiter, a quote or a line break is quoted, so
-    ``csv.reader`` reads every cell back whatever the labels hold.
+    ``csv.reader`` reads every cell back whatever the labels hold.  ``rows``
+    is a list, as it may be written twice: csv before Python 3.12 quotes a bare
+    "\r" only when the line terminator holds one, so text with any "\r" in it
+    is written again with every cell quoted.
     """
-    text = io.StringIO()
-    csv.writer(text, delimiter=delimiter, lineterminator="\n").writerows(rows)
-    return text.getvalue()
+    def written(quoting: int) -> str:
+        text = io.StringIO()
+        csv.writer(text, delimiter=delimiter, lineterminator="\n",
+                   quoting=quoting).writerows(rows)
+        return text.getvalue()
+
+    minimal = written(csv.QUOTE_MINIMAL)
+    return written(csv.QUOTE_ALL) if "\r" in minimal else minimal
 
 
 def _write_text(path, text: str) -> None:
@@ -254,8 +265,8 @@ def write_replay(report: CrossValReport, path, delimiter: str = ";") -> None:
         ["k", str(scheme.k)],
         ["seed", "none" if scheme.seed is None else str(scheme.seed)],
     ]
-    for i, fold in enumerate(scheme.folds):
-        rows.append([f"fold_{i + 1}"] + [str(idx) for idx in fold])
+    for i, fold in enumerate(scheme.rows):
+        rows.append([f"fold_{i + 1}"] + [str(idx) for idx in fold.tolist()])
     _write_text(path, delimited(rows, delimiter))
 
 
@@ -292,14 +303,14 @@ def read_replay(path, delimiter: str = ";") -> tuple[str, FoldScheme]:
         key = f"fold_{i + 1}"
         if key not in fields:
             raise SrdError(f"{path}: replay file is missing {key!r}")
-        folds.append(tuple(_replay_ints(path, fields, key, fields[key][1])))
+        folds.append(_replay_ints(path, fields, key, fields[key][1]))
     expected = {"test", "kind", "k", "seed"} | {f"fold_{i + 1}" for i in range(k)}
     for key, (line, _) in fields.items():
         if key not in expected:
             raise SrdError(f"{path}: line {line}: unexpected {key!r} line; a replay file "
                            f"holds test, kind, k, seed and fold_1 to fold_k (k = {k})")
     try:
-        return test, FoldScheme(kind, tuple(folds), k, seed)
+        return test, FoldScheme(kind, folds, k, seed)
     except SrdError as exc:
         raise SrdError(f"{path}: {exc}") from None
 

@@ -110,6 +110,51 @@ class TestMakeFolds:
         for kind in ("subsample", "half_split"):
             drawn = sk.make_folds(17, 6, kind, seed=9)
             assert sk.FoldScheme(kind, drawn.folds, 6, 9) == drawn
+            assert sk.FoldScheme(kind, drawn.rows, 6, 9) == drawn
+
+    def test_scheme_rows_are_read_only_intp_arrays(self):
+        for scheme in (sk.make_folds(17, 6, "half_split", seed=9),
+                       sk.FoldScheme("subsample", ((3, 1), [np.uint8(0), 2]), 2)):
+            for fold in scheme.rows:
+                assert fold.dtype == np.intp and not fold.flags.writeable
+
+    def test_scheme_keeps_its_own_copy_of_the_folds(self):
+        fold = np.array([0, 1, 2])
+        scheme = sk.FoldScheme("subsample", (fold,), 1)
+        fold[0] = 7
+        assert scheme.folds == ((0, 1, 2),)
+        assert scheme == sk.FoldScheme("subsample", ((0, 1, 2),), 1)
+
+    def test_index_past_the_intp_range_rejected(self):
+        # A plain cast to intp would turn 2**64 - 1 into row -1, the last row.
+        fold = np.array([0, 2**64 - 1], dtype=np.uint64)
+        with pytest.raises(SrdError, match="fold index 18446744073709551615"):
+            sk.FoldScheme("subsample", (fold,), 1)
+
+    def test_sparse_hand_built_indices_give_their_folds(self):
+        scheme = sk.FoldScheme("subsample", ((0, 2**62), (5, 1)), 2)
+        assert scheme.folds == ((0, 2**62), (5, 1))
+
+    def test_scheme_equality_and_hash_follow_the_folds(self):
+        scheme = sk.FoldScheme("subsample", ((0, 1, 2), (3, 4, 5)), 2, 7)
+        same = sk.FoldScheme("subsample", [np.array([0, 1, 2]), [3, 4, 5]], 2, 7)
+        assert scheme == same and hash(scheme) == hash(same)
+        assert scheme != sk.FoldScheme("subsample", ((0, 1, 2), (3, 4, 6)), 2, 7)
+        assert scheme != sk.FoldScheme("subsample", ((0, 1, 2), (3, 4, 5)), 2, 8)
+        assert scheme != scheme.folds
+        with pytest.raises(AttributeError):
+            scheme.k = 3
+
+    @pytest.mark.parametrize("folds, k, seed, message", [
+        ((), 0, None, "fold count must be an integer of at least 1, got 0"),
+        (((0, 1),), True, None, "fold count must be an integer of at least 1, got True"),
+        (((0, 1),), 1.0, None, "fold count must be an integer"),
+        (((0, 1),), 1, -1, "seed must be an integer of at least 0, got -1"),
+        (((0, 1),), 1, 2.5, "seed must be an integer"),
+    ], ids=["zero_folds", "bool_k", "float_k", "negative_seed", "float_seed"])
+    def test_scheme_checks_fold_count_and_seed(self, folds, k, seed, message):
+        with pytest.raises(SrdError, match=message):
+            sk.FoldScheme("subsample", folds, k, seed)
 
     def test_drawn_folds_share_one_int_per_row(self):
         scheme = sk.make_folds(1000, 4, seed=1)

@@ -105,6 +105,13 @@ class TestReadTable:
             TableFileSpec("x.csv", delimiter=delim)
 
 
+# Labels that may hold the delimiter, a comma, a quote, line breaks and any
+# other text; read_table strips whitespace around cells, so none at the edges.
+_LABEL = st.text(st.one_of(st.sampled_from(';,"\n\r'),
+                           st.characters(exclude_categories=("Cs",))),
+                 min_size=1, max_size=8).filter(lambda label: label == label.strip())
+
+
 class TestRoundTrips:
     def test_table_round_trip_is_identity(self, tmp_path, bundesliga):
         path = tmp_path / "out.csv"
@@ -121,12 +128,28 @@ class TestRoundTrips:
         assert np.array_equal(read_table(path).values, table.values)
 
     def test_labels_containing_the_delimiter_survive(self, tmp_path):
-        table = sk.DataTable(np.ones((1, 1)), ("semi;colon",), ("col;umn",))
-        path = tmp_path / "quoted.csv"
+        # csv before Python 3.12 leaves a bare carriage return unquoted.
+        for row_label, col_label in (("semi;colon", "col;umn"), ("a\rb", "c\rd")):
+            table = sk.DataTable(np.ones((1, 1)), (row_label,), (col_label,))
+            path = tmp_path / "quoted.csv"
+            write_table(table, path)
+            again = read_table(path)
+            assert again.row_labels == (row_label,)
+            assert again.col_labels == (col_label,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_LABEL, min_size=1, max_size=4, unique=True),
+           st.lists(_LABEL, min_size=1, max_size=4, unique=True))
+    def test_labels_without_edge_whitespace_round_trip(self, tmp_path_factory,
+                                                       row_labels, col_labels):
+        values = np.arange(len(row_labels) * len(col_labels), dtype=float) / 3
+        table = sk.DataTable(values.reshape(len(row_labels), -1), tuple(row_labels),
+                             tuple(col_labels))
+        path = tmp_path_factory.getbasetemp() / "labels.csv"
         write_table(table, path)
         again = read_table(path)
-        assert again.row_labels == ("semi;colon",)
-        assert again.col_labels == ("col;umn",)
+        assert (again.row_labels, again.col_labels) == (table.row_labels, table.col_labels)
+        assert np.array_equal(again.values, table.values)
 
     def test_replay_round_trip_reproduces_the_report(self, tmp_path, bundesliga):
         report = sk.cross_validate(bundesliga, seed=30)
@@ -178,6 +201,18 @@ class TestReadReplay:
          "a replay file holds test, kind, k, seed and fold_1 to fold_k (k = 2)"),
     ])
     def test_malformed_values_name_the_line(self, tmp_path, old, new, message):
+        path = tmp_path / "replay.csv"
+        path.write_text(_REPLAY.replace(old, new))
+        with pytest.raises(SrdError) as exc:
+            read_replay(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("k;2\nseed;7\nfold_1;0;1;2\nfold_2;3;4;5", "k;0\nseed;7",
+         "fold count must be an integer of at least 1, got 0"),
+        ("seed;7", "seed;-7", "seed must be an integer of at least 0, got -7"),
+    ], ids=["zero_folds", "negative_seed"])
+    def test_fold_count_and_seed_are_checked(self, tmp_path, old, new, message):
         path = tmp_path / "replay.csv"
         path.write_text(_REPLAY.replace(old, new))
         with pytest.raises(SrdError) as exc:
