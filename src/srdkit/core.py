@@ -101,10 +101,14 @@ class DataTable:
         return replace(self, reference=label)
 
     def select_rows(self, indices) -> "DataTable":
-        """Return the sub-table with the given rows, in the given order."""
+        """Return the sub-table with the given rows (0 .. n_rows - 1), in the given order."""
         idx = list(indices)
         if len(idx) == 0:
             raise SrdError("cannot select an empty set of rows")
+        for i in idx:
+            if (isinstance(i, bool) or not isinstance(i, numbers.Integral)
+                    or not 0 <= i < self.n_rows):
+                raise SrdError(f"row index {i!r} is not an integer in 0..{self.n_rows - 1}")
         return replace(
             self,
             values=self.values[idx, :],
@@ -193,7 +197,7 @@ class SrdDetail:
 
 
 class TieGroups:
-    """Every column of a matrix sorted once, to rank any subset of its rows.
+    """The one sort of a matrix's columns: ranks of any row subset and tie frequencies.
 
     Each cell is labelled with its column's tie group.  Labels run across
     the whole matrix, column after column and ascending by value within a
@@ -244,15 +248,20 @@ class TieGroups:
         doubled -= 2 * sub.shape[1] * self._label_cols
         return doubled.astype(self.labels.dtype).take(sub)
 
+    def tie_probabilities(self) -> np.ndarray:
+        """Per column, the share of its n - 1 adjacent sorted pairs that are tied."""
+        m, n = self.labels.shape
+        return (n - np.bincount(self._label_cols, minlength=m)) / (n - 1)
+
 
 def fractional_ranks(values) -> np.ndarray:
     """Rank values ascending from 1; tied values share the mean of their ranks.
 
     A 1-D input is one column; a 2-D input is ranked column by column in one
-    call, which is how every table-level function ranks.  Ties are detected
-    by exact equality of the parsed numbers.  Each ranked column sums to
-    n(n+1)/2 and every rank is a multiple of 0.5, so sums of rank
-    differences are exact in floating point.
+    call.  It is the float view of ``TieGroups.doubled_ranks`` for outputs
+    that show ranks.  Ties are detected by exact equality of the parsed
+    numbers.  Each ranked column sums to n(n+1)/2 and every rank is a
+    multiple of 0.5, so sums of rank differences are exact in floating point.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim not in (1, 2) or arr.size == 0:
@@ -302,10 +311,10 @@ def srd_values(table: DataTable, normalize: bool = True) -> SrdResult:
     if table.n_cols < 2:
         raise SrdError("SRD needs at least two columns: solutions plus a reference")
     ref_label = table.reference_label
-    ranks = fractional_ranks(table.values)
+    doubled = TieGroups(table.values).doubled_ranks()
     ref = table.col_labels.index(ref_label)
     sol = _solution_indices(table, ref_label)
-    raw = np.abs(ranks[:, sol] - ranks[:, [ref]]).sum(axis=0)
+    raw = np.abs(doubled[sol] - doubled[ref]).sum(axis=1, dtype=np.int64) / 2
     f = max_srd(table.n_rows)
     # n = 1 gives f = 0, but then both rankings coincide and raw is 0.
     normalized = raw / f if f else np.zeros_like(raw)
@@ -360,5 +369,4 @@ def tie_probability(column) -> float:
         raise SrdError("tie probability needs at least two values")
     if not np.all(np.isfinite(arr)):
         raise SrdError("tie probability requires finite values")
-    s = np.sort(arr)
-    return float(np.sum(s[1:] == s[:-1]) / (arr.size - 1))
+    return float(TieGroups(arr[:, None]).tie_probabilities()[0])

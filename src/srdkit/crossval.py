@@ -434,7 +434,8 @@ def cross_validate(table: DataTable, test: str = "wilcoxon",
     The signed-rank test defaults to 8 subsample folds and takes at most
     62; the two paired-replication tests default to 10 half-split folds.
     Passing a ``scheme`` (for instance one read back from a replay file)
-    reruns the recorded folds exactly.
+    reruns the recorded folds exactly; the paired-replication tests take
+    only half-split schemes, whose fold pairs are their replications.
     """
     if test not in TESTS:
         raise SrdError(f"unknown test {test!r}; expected one of {', '.join(TESTS)}")
@@ -445,6 +446,9 @@ def cross_validate(table: DataTable, test: str = "wilcoxon",
         scheme = make_folds(table.n_rows, k, kind, seed)
     if test == "wilcoxon":
         _check_signed_rank_folds(scheme.k)
+    elif scheme.kind != "half_split":
+        raise SrdError(f"the {test} test pairs half-split replications, "
+                       f"but the scheme has {scheme.kind} folds")
     units, f_values, labels = _fold_raw_units(table, scheme)
     exact = [_Scaled(row, 2 * f) for row, f in zip(units.tolist(), f_values.tolist())]
     return evaluate_folds(exact, labels, test, scheme)

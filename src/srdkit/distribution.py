@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataTable, SrdError, checked_count, checked_seed, fractional_ranks,
-                   max_srd, tie_probability)
+from .core import (DataTable, SrdError, TieGroups, checked_count, checked_seed,
+                   fractional_ranks, max_srd)
 
 OPTIONS = ("n", "r", "t", "p", "d", "f")
 
@@ -275,17 +275,17 @@ def generate_distribution(table: DataTable, option: str = "f",
     workers = checked_count(workers, "worker count")
     seed = checked_seed(seed)
 
-    ref_label = table.reference_label
-    ref2 = (2 * fractional_ranks(table.column(ref_label))).astype(np.int64)
+    ref = table.col_labels.index(table.reference_label)
+    groups = TieGroups(table.values)
+    ref2 = groups.doubled_ranks()[ref].astype(np.int64)
     if option in ("t", "p"):
         tie_probs = np.full(1, float(tie_prob))
     elif option == "f":
-        tie_probs = np.full(1, tie_probability(table.column(ref_label)))
+        tie_probs = groups.tie_probabilities()[[ref]]
     elif option == "d":
-        sol_cols = [c for c in table.col_labels if c != ref_label]
-        if not sol_cols:
+        if table.n_cols < 2:
             raise SrdError("option 'd' needs at least one solution column")
-        tie_probs = np.array([tie_probability(table.column(c)) for c in sol_cols])
+        tie_probs = np.delete(groups.tie_probabilities(), ref)
     else:
         tie_probs = np.zeros(1)
 

@@ -13,7 +13,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .core import DataTable, SrdError, SrdResult, fractional_ranks, max_srd
+from .core import DataTable, SrdError, SrdResult, TieGroups, max_srd
 from .crossval import BOX_ROWS, CATEGORY_NONE, CrossValReport
 from .distribution import SrdDistribution
 from .tableio import delimited, grid
@@ -90,11 +90,11 @@ def pairwise_srd(table: DataTable) -> PairwiseMatrix:
     """
     if table.n_cols < 2:
         raise SrdError("pairwise distances need at least two columns")
-    # Doubled ranks are integers up to 2n: one contiguous row per table column,
-    # in the narrowest dtype, keeps the m^2 / 2 column differences exact and
-    # cheap.  Below 2n = 2^15, int16 holds them and int32 their n-term sums.
+    # TieGroups' doubled ranks are integers up to 2n, one contiguous row per
+    # column; the narrowest dtype keeps the m^2 / 2 column differences exact
+    # and cheap.  Below 2n = 2^15, int16 holds them and int32 their n-term sums.
     narrow = 2 * table.n_rows < 2**15
-    doubled = (2 * fractional_ranks(table.values).T).astype(np.int16 if narrow else np.int32)
+    doubled = TieGroups(table.values).doubled_ranks().astype(np.int16 if narrow else np.int32)
     total = np.int32 if narrow else np.int64
     f2 = 2 * max_srd(table.n_rows)
     m = table.n_cols

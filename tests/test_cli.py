@@ -258,6 +258,20 @@ def test_replay_of_unequal_subsample_folds_exits_two(capsys, tmp_path, bundeslig
     assert err.startswith("srd: error: ") and "same number of rows" in err
 
 
+def test_replay_of_paired_test_on_subsample_folds_exits_two(capsys, tmp_path,
+                                                           bundesliga_csv):
+    prefix = str(tmp_path / "cv")
+    assert main(["crossval", bundesliga_csv, "--seed", "4", "-o", prefix]) == 0
+    capsys.readouterr()
+    replay = tmp_path / "cv_replay.csv"
+    replay.write_text(replay.read_text().replace("test;wilcoxon", "test;alpaydin", 1))
+    assert main(["crossval", bundesliga_csv, "--replay", str(replay), "--no-save"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("srd: error: the alpaydin test pairs half-split")
+    assert "subsample folds" in captured.err
+
+
 def test_replay_naming_a_row_past_the_table_exits_two(capsys, tmp_path, bundesliga_csv):
     folds = [list(range(15))] * 5
     folds[2] = list(range(14)) + [18]

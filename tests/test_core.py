@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,13 @@ class TestDataTable:
         sub = table.select_rows([2, 0])
         assert sub.row_labels == ("z", "x")
         assert sub.values[:, 0].tolist() == [3, 1]
+        assert table.select_rows(np.array([1])).row_labels == ("y",)
+
+    @pytest.mark.parametrize("bad", [-1, 3, 2**64, 1.0, True, "0", None])
+    def test_select_rows_rejects_bad_index(self, bad):
+        table = sk.from_columns({"a": [1, 2, 3]}, row_labels=("x", "y", "z"))
+        with pytest.raises(SrdError, match=rf"row index {re.escape(repr(bad))} is not"):
+            table.select_rows([0, bad])
 
     def test_transpose_swaps_labels_and_drops_reference(self):
         table = sk.from_columns({"a": [1, 2], "b": [3, 4]}, reference="b")

@@ -467,6 +467,16 @@ class TestCrossValidate:
         with pytest.raises(SrdError, match="at most 62 folds, got 63"):
             sk.cross_validate(table, scheme=sk.make_folds(70, 63, seed=2))
 
+    @pytest.mark.parametrize("test", ["dietterich", "alpaydin"])
+    def test_paired_tests_reject_subsample_folds(self, bundesliga, test):
+        scheme = sk.make_folds(18, 10, "subsample", seed=3)
+        with pytest.raises(SrdError, match=f"the {test} test .* subsample folds"):
+            sk.cross_validate(bundesliga, test, scheme=scheme)
+
+    def test_signed_rank_test_takes_half_splits(self, bundesliga):
+        scheme = sk.make_folds(18, 10, "half_split", seed=3)
+        assert sk.cross_validate(bundesliga, scheme=scheme).scheme == scheme
+
     def test_single_solution_has_no_pairs(self):
         table = sk.from_columns(
             {"only": [2, 4, 1, 3, 5, 0, 6, 8, 7, 9], "ref": list(range(10))},

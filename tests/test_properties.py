@@ -1,7 +1,8 @@
-"""Property tests: the rank-once kernel against per-column ranking, the
-integer pair tests against the Fraction ones they replaced, the blocked
-integer CRRN sampler against the float generators it replaced, and the
-exact CRRN sweep against brute-force enumeration and closed forms."""
+"""Property tests: the rank-once kernel against per-column ranking and a
+sorted tie count, the integer pair tests against the Fraction ones they
+replaced, the blocked integer CRRN sampler against the float generators it
+replaced, and the exact CRRN sweep against brute-force enumeration and
+closed forms."""
 
 import copy
 import itertools
@@ -20,6 +21,7 @@ from scipy.stats import t as t_distribution
 
 import srdkit as sk
 from srdkit import crossval, distribution
+from srdkit.core import TieGroups
 from srdkit.crossval import _fold_raw_units
 
 # Few distinct values, so most columns carry ties; -0.0 ties with 0.0.
@@ -50,6 +52,12 @@ def tables_with_folds(draw):
 
 def _per_column_ranks(values):
     return np.column_stack([rankdata(values[:, j]) for j in range(values.shape[1])])
+
+
+def _sorted_tie_shares(values):
+    """Per column of an (n, m) matrix, tied neighbours in sorted order over n - 1."""
+    ordered = np.sort(values, axis=0)
+    return (ordered[1:] == ordered[:-1]).sum(axis=0) / (values.shape[0] - 1)
 
 
 def _per_fold_units(table, scheme):
@@ -113,6 +121,24 @@ def test_scores_equal_per_column_computation(table):
             d = np.abs(ranks[:, i] - ranks[:, j]).sum() / f if f else 0.0
             expected[i, j] = expected[j, i] = d
     assert np.array_equal(sk.pairwise_srd(table).values, expected)
+
+
+@st.composite
+def tie_matrices(draw):
+    """Heavily tied, tie-free and constant columns side by side, from 2 rows."""
+    n = draw(st.integers(2, 40))
+    tied = draw(arrays(float, (n, 3), elements=_CELLS))
+    distinct = draw(arrays(float, (n, 1), elements=st.floats(-1e6, 1e6), unique=True))
+    return np.hstack([tied, distinct, np.full((n, 1), draw(_CELLS))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_matrices())
+@example(np.array([[0.0, 1.0, 5.0], [-0.0, 2.0, 5.0]]))
+def test_tie_probabilities_equal_sorted_count(values):
+    expected = _sorted_tie_shares(values)
+    assert np.array_equal(TieGroups(values).tie_probabilities(), expected)
+    assert [sk.tie_probability(column) for column in values.T] == expected.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -416,10 +442,10 @@ def _oracle_distribution(table, option, tie_prob, samples, seed):
     if option in ("t", "p"):
         tie_probs = np.full(1, tie_prob)
     elif option == "f":
-        tie_probs = np.full(1, sk.tie_probability(table.column(ref_label)))
+        tie_probs = _sorted_tie_shares(table.column(ref_label)[:, None])
     elif option == "d":
-        tie_probs = np.array([sk.tie_probability(table.column(c))
-                              for c in table.col_labels if c != ref_label])
+        solutions = [j for j, c in enumerate(table.col_labels) if c != ref_label]
+        tie_probs = _sorted_tie_shares(table.values[:, solutions])
     else:
         tie_probs = np.zeros(1)
     n = table.n_rows
@@ -427,7 +453,7 @@ def _oracle_distribution(table, option, tie_prob, samples, seed):
     chunk = 1 << 16
     sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    ref_ranks = sk.fractional_ranks(table.column(ref_label))
+    ref_ranks = rankdata(table.column(ref_label))
     counts = sum(_oracle_chunk_counts(option, n, size, child, ref_ranks, tie_probs,
                                       2 * f + 1)
                  for size, child in zip(sizes, children))
