@@ -6,6 +6,10 @@ column is converted to fractional ranks (ties share the mean of the integer
 ranks they occupy) and each solution is scored by the L1 distance between
 its rank column and the reference rank column, optionally normalized by the
 largest distance two rankings of that size can have.
+
+Every score takes one path: one sort of the table, then int64 sums of doubled
+ranks per row set.  Whole-table scores are the set of all rows; each
+cross-validation fold is another.
 """
 
 from __future__ import annotations
@@ -282,8 +286,27 @@ def max_srd(n: int) -> int:
     return n * n // 2
 
 
-def _solution_indices(table: DataTable, ref_label: str) -> list[int]:
-    return [j for j, c in enumerate(table.col_labels) if c != ref_label]
+def _reference_split(table: DataTable) -> tuple[int, list[int]]:
+    """Column index of the reference and of every solution, in table order."""
+    if table.n_cols < 2:
+        raise SrdError("SRD needs at least two columns: solutions plus a reference")
+    ref = table.col_labels.index(table.reference_label)
+    return ref, [j for j in range(table.n_cols) if j != ref]
+
+
+def _srd_units(table: DataTable, folds=(None,)) -> tuple[np.ndarray, list[int]]:
+    """Doubled raw SRD per row set and solution, and the solutions' column indices.
+
+    Each of ``folds`` is an intp array of rows, ranked among themselves, or
+    None for all rows.  Doubling makes every rank, so every sum, an integer.
+    """
+    ref, sol = _reference_split(table)
+    groups = TieGroups(table.values)
+    units = np.empty((len(folds), len(sol)), dtype=np.int64)
+    for i, rows in enumerate(folds):
+        ranks = groups.doubled_ranks(rows)
+        units[i] = np.abs(ranks - ranks[ref]).sum(axis=1, dtype=np.int64)[sol]
+    return units, sol
 
 
 def rank_matrix(table: DataTable) -> RankMatrix:
@@ -293,10 +316,7 @@ def rank_matrix(table: DataTable) -> RankMatrix:
     the matrix can feed ranking tools that expect solutions only; with no
     designation every column is ranked.
     """
-    if table.reference is not None:
-        cols = _solution_indices(table, table.reference)
-    else:
-        cols = list(range(table.n_cols))
+    cols = [j for j, c in enumerate(table.col_labels) if c != table.reference]
     ranks = fractional_ranks(table.values[:, cols])
     return RankMatrix(ranks, table.row_labels, tuple(table.col_labels[j] for j in cols))
 
@@ -308,13 +328,8 @@ def srd_values(table: DataTable, normalize: bool = True) -> SrdResult:
     whether ``scores`` reports the normalized or the raw distances; both
     are always computed.
     """
-    if table.n_cols < 2:
-        raise SrdError("SRD needs at least two columns: solutions plus a reference")
-    ref_label = table.reference_label
-    doubled = TieGroups(table.values).doubled_ranks()
-    ref = table.col_labels.index(ref_label)
-    sol = _solution_indices(table, ref_label)
-    raw = np.abs(doubled[sol] - doubled[ref]).sum(axis=1, dtype=np.int64) / 2
+    units, sol = _srd_units(table)
+    raw = units[0] / 2
     f = max_srd(table.n_rows)
     # n = 1 gives f = 0, but then both rankings coincide and raw is 0.
     normalized = raw / f if f else np.zeros_like(raw)
@@ -323,7 +338,7 @@ def srd_values(table: DataTable, normalize: bool = True) -> SrdResult:
         raw_srd=raw,
         normalized_srd=normalized,
         n_objects=table.n_rows,
-        reference_label=ref_label,
+        reference_label=table.reference_label,
         normalized=normalize,
     )
 
@@ -335,26 +350,19 @@ def detailed_srd(table: DataTable) -> SrdDetail:
     fractional ranks, and the per-row absolute rank differences from the
     reference, together with the per-solution raw SRD totals.
     """
-    if table.n_cols < 2:
-        raise SrdError("SRD needs at least two columns: solutions plus a reference")
-    ref_label = table.reference_label
-    ref_values = table.column(ref_label)
-    all_ranks = fractional_ranks(table.values)
-    ref_ranks = all_ranks[:, table.col_labels.index(ref_label)].copy()
-    sol = _solution_indices(table, ref_label)
-    values = table.values[:, sol]
-    ranks = all_ranks[:, sol]
-    distances = np.abs(ranks - ref_ranks[:, None])
+    ref, sol = _reference_split(table)
+    doubled = TieGroups(table.values).doubled_ranks()
+    units = np.abs(doubled[sol] - doubled[ref])
     return SrdDetail(
         row_labels=table.row_labels,
         solution_labels=tuple(table.col_labels[j] for j in sol),
-        reference_label=ref_label,
-        solution_values=values,
-        solution_ranks=ranks,
-        distances=distances,
-        reference_values=ref_values,
-        reference_ranks=ref_ranks,
-        raw_srd=distances.sum(axis=0),
+        reference_label=table.reference_label,
+        solution_values=table.values[:, sol],
+        solution_ranks=doubled[sol].T / 2,
+        distances=units.T / 2,
+        reference_values=table.values[:, ref],
+        reference_ranks=doubled[ref] / 2,
+        raw_srd=units.sum(axis=1, dtype=np.int64) / 2,
     )
 
 

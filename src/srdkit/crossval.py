@@ -6,10 +6,12 @@ recomputed on each retained subset, and consecutive solutions in the
 median-ordered ranking are tested pairwise (signed-rank, paired-replication
 t, or paired-replication F).
 
-Fold ranks come from one sort per column of the whole table: a fold's
-doubled ranks follow from counting its rows in each tie group.  They equal
-the ranks of the fold's rows ranked anew, so scores, reports and replay
-files are the same bit for bit either way.
+Fold scores come from the one scoring path in ``core`` that also gives
+``srd_values``, whose whole-table scores are the fold that keeps every row.
+The table is sorted once; a fold's doubled ranks follow from counting its
+rows in each tie group.  They equal the ranks of the fold's rows ranked
+anew, so scores, reports and replay files are the same bit for bit either
+way.
 
 Fold SRD values are integers over 2 * max_srd(retained rows).  The pair
 tests put scores over one common denominator and work on the numerators:
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import DataTable, SrdError, TieGroups, checked_count, checked_seed, max_srd
+from .core import DataTable, SrdError, _srd_units, checked_count, checked_seed, max_srd
 
 TESTS = ("wilcoxon", "dietterich", "alpaydin")
 FOLD_KINDS = ("subsample", "half_split")
@@ -189,33 +191,16 @@ def make_folds(n: int, k: int, kind: str = "subsample",
 
 
 def _fold_raw_units(table: DataTable, scheme: FoldScheme):
-    """Doubled raw SRD per fold and solution, plus each fold's max SRD.
-
-    Doubling makes every entry an exact integer (ranks are half-integers),
-    so fold scores can be carried exactly as units / (2 * f).  The
-    table is sorted once per column; each fold's ranks then come from
-    counting its rows in every tie group, which gives the same integers as
-    ranking the fold's rows anew.
-    """
-    ref_label = table.reference_label
-    ref_idx = table.col_labels.index(ref_label)
-    sol_idx = [j for j in range(table.n_cols) if j != ref_idx]
-    if not sol_idx:
-        raise SrdError("cross-validation needs at least one solution column")
-    groups = TieGroups(table.values)
-    units = np.zeros((scheme.k, len(sol_idx)), dtype=np.int64)
-    f_values = np.zeros(scheme.k, dtype=np.int64)
+    """Doubled raw SRD per fold and solution, each fold's max SRD f, and the labels."""
     for fi, rows in enumerate(scheme.rows):
         if rows.max() >= table.n_rows:
             raise SrdError(
                 f"fold {fi + 1} refers to row {rows.max()}, "
                 f"but the table has {table.n_rows} rows"
             )
-        ranks = groups.doubled_ranks(rows)
-        units[fi] = np.abs(ranks - ranks[ref_idx]).sum(axis=1, dtype=np.int64)[sol_idx]
-        f_values[fi] = max_srd(rows.size)
-    labels = tuple(table.col_labels[j] for j in sol_idx)
-    return units, f_values, labels
+    units, sol = _srd_units(table, scheme.rows)
+    f_values = np.array([max_srd(rows.size) for rows in scheme.rows], dtype=np.int64)
+    return units, f_values, tuple(table.col_labels[j] for j in sol)
 
 
 def crossval_srd(table: DataTable, scheme: FoldScheme) -> np.ndarray:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import copy
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataTable, SrdError, TieGroups, checked_count, checked_seed,
-                   fractional_ranks, max_srd)
+from .core import (DataTable, SrdError, TieGroups, _reference_split, checked_count,
+                   checked_seed, fractional_ranks, max_srd)
 
 OPTIONS = ("n", "r", "t", "p", "d", "f")
 
@@ -282,10 +283,8 @@ def generate_distribution(table: DataTable, option: str = "f",
         tie_probs = np.full(1, float(tie_prob))
     elif option == "f":
         tie_probs = groups.tie_probabilities()[[ref]]
-    elif option == "d":
-        if table.n_cols < 2:
-            raise SrdError("option 'd' needs at least one solution column")
-        tie_probs = np.delete(groups.tie_probabilities(), ref)
+    elif option == "d":  # the donors are the solution columns
+        tie_probs = groups.tie_probabilities()[_reference_split(table)[1]]
     else:
         tie_probs = np.zeros(1)
 
@@ -299,8 +298,9 @@ def generate_distribution(table: DataTable, option: str = "f",
     def run(w: int) -> np.ndarray:  # integer counts add exactly in any order
         return _chunk_counts(option, n, chunks[w::workers], ref2, tie_probs, n_bins)
 
-    # The calling thread is worker 0; the pool starts a thread per other worker.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # The calling thread is worker 0; the others share one thread per usable CPU.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(workers, cpus or 1)) as pool:
         others = pool.map(run, range(1, workers))
         counts = run(0) + sum(others)
 

@@ -42,10 +42,14 @@ class TableFileSpec:
     has_row_names: bool = True
 
     def __post_init__(self) -> None:
-        if len(self.delimiter) != 1 or self.delimiter in ".\r\n":
-            raise SrdError(
-                "delimiter must be a single character other than '.' or a line break"
-            )
+        _check_delimiter(self.delimiter)
+
+
+def _check_delimiter(delimiter: str) -> None:
+    """SrdError unless csv can read back what it writes with ``delimiter``."""
+    if len(delimiter) != 1 or delimiter in '."\r\n':
+        raise SrdError("delimiter must be a single character other than '.', "
+                       "'\"' or a line break")
 
 
 def _csv_rows(path: Path, delimiter: str) -> list[tuple[int, list[str]]]:
@@ -54,6 +58,7 @@ def _csv_rows(path: Path, delimiter: str) -> list[tuple[int, list[str]]]:
     Bytes that are not UTF-8 and fields beyond the csv module's size limit
     raise SrdError naming the file.
     """
+    _check_delimiter(delimiter)
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle, delimiter=delimiter)
@@ -142,6 +147,7 @@ def delimited(rows, delimiter: str = ";") -> str:
                    quoting=quoting).writerows(rows)
         return text.getvalue()
 
+    _check_delimiter(delimiter)
     minimal = written(csv.QUOTE_MINIMAL)
     return written(csv.QUOTE_ALL) if "\r" in minimal else minimal
 

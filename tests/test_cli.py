@@ -195,6 +195,12 @@ def test_crrn_missing_tie_prob_is_a_data_error(capsys, bundesliga_csv):
     assert "tie probability" in capsys.readouterr().err
 
 
+def test_quote_delimiter_exits_two(capsys, bundesliga_csv):
+    assert main(["values", bundesliga_csv, "--delimiter", '"', "--no-save"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("srd: error: delimiter must be") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["crrn", "crossval"])
 def test_negative_seed_exits_two(capsys, bundesliga_csv, command):
     assert main([command, bundesliga_csv, "--seed", "-1", "--no-save"]) == 2

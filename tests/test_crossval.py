@@ -196,6 +196,13 @@ class TestCrossvalSrd:
             with pytest.raises(SrdError, match="fold 3 refers to row 18"):
                 run(bundesliga, scheme=scheme)
 
+    def test_one_column_table_rejected(self):
+        table = sk.from_columns({"ref": [3, 1, 2, 5, 4]})
+        scheme = sk.FoldScheme("half_split", ((0, 1, 2), (3, 4)) * 2, 4)
+        for run in (sk.crossval_srd, sk.cross_validate):
+            with pytest.raises(SrdError, match="two columns"):
+                run(table, scheme=scheme)
+
     def test_sums_past_int32_stay_exact(self):
         # A reversed column of 52,500 retained rows has a doubled raw SRD of
         # 52,500^2 = 2.76e9, past 2^31: rank sums accumulated in int32 wrap.

@@ -124,6 +124,27 @@ class TestGenerateDistribution:
                                      workers=workers)
             assert len(built) == expected
 
+    def test_thread_pool_is_bounded_by_the_usable_cpus(self, bundesliga, monkeypatch):
+        # 50 workers over 50 small sub-streams share 2 threads; the striping,
+        # and so the counts, stay those of 50 workers.
+        pools = []
+
+        class Recorder(distribution.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(distribution, "_CHUNK", 64)
+        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(distribution, "ThreadPoolExecutor", Recorder)
+        kwargs = dict(option="f", samples=50 * 64, seed=10)
+        base = sk.generate_distribution(bundesliga, workers=1, **kwargs)
+        wide = sk.generate_distribution(bundesliga, workers=50, **kwargs)
+        assert pools == [1, 2]
+        assert np.array_equal(base.frequency, wide.frequency)
+
     def test_missing_tie_prob_rejected(self, bundesliga):
         for option in ("t", "p"):
             with pytest.raises(SrdError, match="tie probability"):
@@ -142,6 +163,9 @@ class TestGenerateDistribution:
             sk.generate_distribution(bundesliga, option="f", samples=0)
         with pytest.raises(SrdError):
             sk.generate_distribution(bundesliga, option="f", samples=10, workers=0)
+        with pytest.raises(SrdError, match="two columns"):  # option 'd' has no donor column
+            sk.generate_distribution(sk.from_columns({"ref": [1, 2, 3]}), option="d",
+                                     samples=10)
 
 
     @pytest.mark.parametrize("kwargs, message", [

@@ -8,6 +8,7 @@ from srdkit import SrdError
 from srdkit.crossval import TESTS
 from srdkit.tableio import (
     TableFileSpec,
+    delimited,
     read_replay,
     read_table,
     render_distribution,
@@ -99,10 +100,20 @@ class TestReadTable:
         assert table.col_labels == ("a", "b")
         assert table.row_labels == ("1", "2")
 
-    @pytest.mark.parametrize("delim", [".", "\n", ";;"])
+    @pytest.mark.parametrize("delim", [".", "\n", ";;", '"'])
     def test_invalid_delimiter_rejected(self, delim):
         with pytest.raises(SrdError, match="delimiter"):
             TableFileSpec("x.csv", delimiter=delim)
+
+    def test_quote_delimiter_rejected_by_every_reader_and_writer(self, tmp_path, bundesliga):
+        # csv quotes with '"', so a report written with it would not read back.
+        path = tmp_path / "q.csv"
+        for run in (lambda: write_table(bundesliga, path, '"'),
+                    lambda: delimited([["a", "b"]], '"'),
+                    lambda: read_replay(path, '"')):
+            with pytest.raises(SrdError, match="other than '.', '\"' or a line break"):
+                run()
+        assert not path.exists()
 
 
 # Labels that may hold the delimiter, a comma, a quote, line breaks and any

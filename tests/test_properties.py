@@ -104,6 +104,9 @@ def test_scores_equal_per_column_computation(table):
     result = sk.srd_values(table)
     assert np.array_equal(result.raw_srd, raw)
     assert np.array_equal(result.normalized_srd, raw / f if f else np.zeros_like(raw))
+    if table.n_rows >= 2:  # whole-table scores are the fold that keeps every row
+        everything = sk.FoldScheme("subsample", [range(table.n_rows)], 1)
+        assert np.array_equal(sk.crossval_srd(table, everything), [result.normalized_srd])
 
     detail = sk.detailed_srd(table)
     assert np.array_equal(detail.solution_ranks, ranks[:, sol])
