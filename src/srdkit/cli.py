@@ -159,7 +159,8 @@ def _cmd_maxsrd(args):
 def _cmd_tieprob(args):
     table = _load_table(args, with_reference=False)
     labels = [args.column] if args.column else list(table.col_labels)
-    rows = [[label, f"{tie_probability(table.column(label)):.7f}"] for label in labels]
+    values = table.column(args.column)[:, None] if args.column else table.values
+    rows = [[label, f"{p:.7f}"] for label, p in zip(labels, tie_probability(values))]
     for label, value in rows:
         print(f"{label}: {value}")
     if not args.no_save:
@@ -283,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="tie probability for options t and p")
     sub.add_argument("--samples", type=int, default=1_000_000)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="threads that draw the samples (default: one per usable "
+                          "CPU); seeded results do not depend on it")
     sub.add_argument("--plot", action="store_true", help="also emit the chart")
     sub.add_argument("--cdf", action="store_true",
                      help="overlay the cumulative curve instead of the density")

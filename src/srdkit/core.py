@@ -366,15 +366,17 @@ def detailed_srd(table: DataTable) -> SrdDetail:
     )
 
 
-def tie_probability(column) -> float:
+def tie_probability(column) -> float | np.ndarray:
     """Fraction of adjacent positions in sorted order occupied by equal values.
 
     An n-long vector has n-1 adjacent positions, so the result is the
-    number of tied neighbor pairs divided by n-1.
+    number of tied neighbor pairs divided by n-1.  A 2-D input gives an
+    array with one value per column, from one sort of the matrix.
     """
     arr = np.asarray(column, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim not in (1, 2) or arr.shape[0] < 2 or arr.size == 0:
         raise SrdError("tie probability needs at least two values")
     if not np.all(np.isfinite(arr)):
         raise SrdError("tie probability requires finite values")
-    return float(TieGroups(arr[:, None]).tie_probabilities()[0])
+    probs = TieGroups(arr.reshape(arr.shape[0], -1)).tie_probabilities()
+    return probs if arr.ndim == 2 else float(probs[0])

@@ -10,7 +10,6 @@ random, and significant dissimilarity (reverse ranking).
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 import os
@@ -27,7 +26,8 @@ OPTIONS = ("n", "r", "t", "p", "d", "f")
 EXACT_MAX_N = 18  # 18! < 2**53: exact counts and totals stay exact in float64 and int64
 
 _CHUNK = 1 << 16  # samples per RNG sub-stream; fixed so worker count cannot matter
-_BLOCK = 1 << 16  # elements drawn at once within a sub-stream; bounds working memory
+_BLOCK = 1 << 16  # elements drawn at once by all workers together; bounds working memory
+_KEY_COLS = 1 << 11  # a sort key holds a 53-bit uniform above an 11-bit column index
 
 
 class CrrnVerdict(enum.Enum):
@@ -121,116 +121,268 @@ def random_tied_ranking(n: int, tie_prob: float, rng: np.random.Generator) -> np
     if n == 1:
         return np.ones(1)
     # Both phases come straight from ``rng``, which any bit generator allows.
-    buffers = _BlockBuffers(1, n, 1)
-    return buffers.ranking(iter((rng, rng)), 1, np.full(1, float(tie_prob)), 0)[0] / 2.0
+    block = _BlockBuffers(_Tiles(1, n, tied=True)).full
+    block.ranking(iter((rng, rng)), float(tie_prob), block.perm)
+    return (block.perm + 3) / 2.0
+
+
+class _Tiles:
+    """Read-only flat tiles of a block of ``rows`` rankings of n, shared by all workers.
+
+    A ufunc whose (rows, n) operand is broadcast from (n,) or (rows, 1)
+    allocates iterator buffers on every call, so every per-element operand
+    is a full contiguous tile instead.
+    """
+
+    def __init__(self, rows: int, n: int, tied: bool, ref2: np.ndarray | None = None,
+                 donor_probs: np.ndarray | None = None):
+        size = rows * n
+        self.rows, self.n = rows, n
+        self.cols = np.tile(np.arange(n, dtype=np.uint64), rows)
+        self.row_starts = np.repeat(np.arange(0, size, n), n)  # n * row
+        self.positions = np.arange(size) if tied else None
+        # The fixed reference in the offset form of ``_Block.ranking``.
+        self.ref = None if ref2 is None else np.tile(ref2, rows) + 2 * self.row_starts - 3
+        self.donor_probs = donor_probs  # option 'd': each donor column's tie frequency
 
 
 class _BlockBuffers:
-    """Scratch arrays for the row blocks of one sub-stream, reused via ``out=``.
+    """One worker's scratch arrays, reused via ``out=`` for every block of a call.
 
-    With fresh ~0.5 MB temporaries in every block, glibc's malloc returned
-    their pages and faulted them in again each block, about a seventh of a
-    tied call's time.  Only the argsort and the group starts are still
-    allocated per block.
+    Workers allocate nothing per block (argsort's fallback aside), so the
+    traced allocation peak of a call does not depend on how their blocks
+    overlap in time.  Fresh ~0.5 MB temporaries per block also made glibc's
+    malloc return their pages and fault them in again every block.
+    ``full`` holds the views for a block of ``tiles.rows`` rankings.
     """
 
-    def __init__(self, rows: int, n: int, tied_rankings: int):
-        size = rows * n
-        self.n = n
-        self.uniforms = np.empty(size)
-        if tied_rankings:  # held at once by a block: 2 for option 't'
-            self.starts = np.empty(size, dtype=bool)
-            self.groups = np.empty(size, dtype=np.int64)
-            self.pair_sums = np.empty(size + 1, dtype=np.int32)
-            self.sorted2 = np.empty(size, dtype=np.int32)
-            self.ranks = np.empty((tied_rankings, size), dtype=np.int32)
+    def __init__(self, tiles: _Tiles, two_rankings: bool = False):
+        size = tiles.rows * tiles.n
+        tied = tiles.positions is not None
+        self.tiles = tiles
+        self.uniforms = np.empty(size + 1)
+        self.keys = np.empty(size, dtype=np.uint64)
+        self.groups = np.empty(size, dtype=np.int64) if tied else None
+        self.pair_sums = np.empty(size + 1, dtype=np.int64) if tied else None
+        self.ranks = np.empty(size, dtype=np.int64) if two_rankings else None
+        self.row_probs = None if tiles.donor_probs is None else np.empty(tiles.rows)
+        self.full = _Block(self, tiles.rows)
 
-    def ranking(self, draws, rows: int, probs: np.ndarray | None, slot: int) -> np.ndarray:
-        """Doubled ranks of ``rows`` random rankings, one per row.
+
+class _Block:
+    """Views of a worker's buffers and of the tiles for a block of ``rows`` rankings.
+
+    They are made once per block size, before any worker starts, so the
+    workers create no arrays.  Buffers serve several steps in turn:
+    ``uniforms`` holds the merge uniforms, the groups' last positions, the
+    permutation uniforms, the sorted keys' gaps and then ``perm``; ``keys``
+    option 'd''s merge probabilities, the group-opening flags, the sort keys
+    and the gathered groups; ``pair_sums`` the merge flags and group ends.
+    """
+
+    def __init__(self, buffers: _BlockBuffers, rows: int):
+        tiles, n = buffers.tiles, buffers.tiles.n
+        size, m = rows * n, rows * (n - 1)
+        self.n = n
+        self.u = buffers.uniforms[:size]
+        self.u_rows = self.u.reshape(rows, n)
+        self.keys = buffers.keys[:size]
+        self.key_rows = self.keys.reshape(rows, n)
+        self.keys_head, self.keys_tail = self.keys[:-1], self.keys[1:]
+        self.key_ints = self.keys.view(np.int64)
+        self.cols = tiles.cols[:size]
+        self.perm = self.u.view(np.int64)
+        self.perm_rows = self.perm.reshape(rows, n)
+        self.gaps = self.perm[:-1].view(np.uint64)
+        self.row_starts = tiles.row_starts[:size]
+        self.ref = None if tiles.ref is None else tiles.ref[:size]
+        self.ranks = None if buffers.ranks is None else buffers.ranks[:size]
+        self.ranks_rows = None if self.ranks is None else self.ranks.reshape(rows, n)
+        if buffers.groups is None:
+            return
+        self.merge_u = buffers.uniforms[:m]
+        self.merges = buffers.pair_sums.view(bool)[:m]
+        self.merge_probs = self.keys[:m].view(float)
+        self.merge_probs_rows = self.merge_probs.reshape(rows, n - 1)
+        if buffers.row_probs is not None:
+            row_probs = buffers.row_probs[:rows]
+            self.donors = (tiles.donor_probs, row_probs, row_probs[:, None])
+        self.merges_rows = self.merges.reshape(rows, n - 1)
+        opens = self.key_ints.reshape(rows, n)
+        self.opens_first, self.opens_later = opens[:, 0], opens[:, 1:]
+        self.opens_tail = self.key_ints[1:]
+        self.groups = buffers.groups[:size]
+        self.groups_head, self.groups_last = self.groups[:-1], self.groups[-1:]
+        self.ends = buffers.pair_sums[:size]
+        self.ends_head, self.ends_last = self.ends[:-1], self.ends[-1:]
+        self.positions = tiles.positions[:size]
+        self.lasts = buffers.uniforms.view(np.int64)
+        self.lasts_head, self.lasts_tail = self.lasts[:size], self.lasts[1:size + 1]
+        self.pair_sums = buffers.pair_sums
+        self.pair_sums_tail = buffers.pair_sums[1:size + 1]
+
+    def doubled_srd(self, draws, probs, out: np.ndarray) -> None:
+        """Each sample's doubled raw SRD, against the fixed reference or a drawn one."""
+        if self.ranks is None:
+            diff, diff_rows = self.ranking(draws, probs, self.perm), self.perm_rows
+            other = self.ref
+        else:
+            diff, diff_rows = self.ranking(draws, probs, self.ranks), self.ranks_rows
+            other = self.ranking(draws, probs, self.perm)
+        np.subtract(diff, other, out=diff)
+        np.abs(diff, out=diff)
+        np.add.reduce(diff_rows, axis=1, out=out)
+
+    def ranking(self, draws, probs, out: np.ndarray) -> np.ndarray:
+        """Doubled ranks of the block's random rankings, flat, plus 2 * n * row - 3.
 
         Takes the next generator of ``draws`` for a (rows, n - 1) draw of merge
-        uniforms when ``probs`` holds the rows' tie probabilities (a boundary
-        merges when its uniform is below), then the next for a (rows, n) draw
-        whose row argsorts permute the sorted positions.
+        uniforms when ``probs`` holds the tie probability (a float) or each
+        row's donor column (option 'd'); a boundary merges when its uniform is
+        below.  Then the next for a (rows, n) draw whose row argsorts permute
+        the sorted positions.  The offset is what a group's flat first plus
+        last position minus one gives; two drawn rankings' offsets cancel,
+        and ``_Tiles.ref`` carries it too.  ``out`` is ``perm`` or ``ranks``.
         """
-        n = self.n
-        size = rows * n
         if probs is not None:
-            starts = self.starts[:size].reshape(rows, n)
-            starts[:, 0] = True
-            merge_u = next(draws).random(out=self.uniforms[:size - rows].reshape(rows, n - 1))
-            np.greater_equal(merge_u, probs[:, None], out=starts[:, 1:])
-            sorted2 = self._flat_doubled_ranks(starts.ravel())
-        perm = np.argsort(next(draws).random(out=self.uniforms[:size].reshape(rows, n)),
-                          axis=1)
-        if probs is None:
-            perm *= 2
-            perm += 2
-            return perm
-        perm += n * np.arange(rows)[:, None]
-        out = self.ranks[slot, :size].reshape(rows, n)
-        np.take(sorted2, perm, out=out, mode="clip")
-        out -= (2 * n * np.arange(rows, dtype=np.int32) - 1)[:, None]
-        return out
+            self._tie_groups(next(draws), probs)
+        self._permutation(next(draws))
+        if probs is None:  # each sorted position is a group of its own
+            np.multiply(self.perm, 2, out=out)
+            return np.subtract(out, 1, out=out)
+        self.groups.take(self.perm, out=self.key_ints, mode="clip")
+        return self.pair_sums.take(self.key_ints, out=out, mode="clip")
 
-    def _flat_doubled_ranks(self, starts: np.ndarray) -> np.ndarray:
-        """Doubled rank of every sorted position plus 2 * n * row - 1.
+    def _tie_groups(self, rng, probs) -> None:
+        """Each sorted position's 1-based tie group, and per group its flat
+        first plus last position minus one.
 
-        A tie group over sorted positions first..last (0-based) has doubled
-        rank first + last + 2.  Every row opens a group, so in the flattened
-        block a group's last position is the next group's first minus one,
-        and the sum of the two flat firsts is first + last + 1 + 2 * n * row.
-        int32 sums stay exact: a block holds fewer than 2**30 positions.
+        Every row opens a group, so a group's first position is one past the
+        previous group's last, also across rows.
         """
-        firsts = np.flatnonzero(starts)
-        pair_sums = self.pair_sums[:firsts.size + 1]  # [j] serves group j - 1
-        np.add(firsts[:-1], firsts[1:], out=pair_sums[1:-1])
-        pair_sums[-1] = firsts[-1] + starts.size
-        groups = self.groups[:starts.size]
-        groups[:] = starts
-        np.cumsum(groups, out=groups)  # 1-based group of every position
-        return np.take(pair_sums, groups, out=self.sorted2[:starts.size], mode="clip")
+        merge_u = rng.random(out=self.merge_u)
+        if np.ndim(probs):  # each row's donor column, so one probability per row
+            donor_probs, row_probs, row_column = self.donors
+            donor_probs.take(probs, out=row_probs, mode="clip")
+            np.copyto(self.merge_probs_rows, row_column)
+            probs = self.merge_probs
+        np.greater_equal(merge_u, probs, out=self.merges)
+        self.opens_first[...] = 1
+        self.opens_later[...] = self.merges_rows
+        np.add.accumulate(self.key_ints, out=self.groups)
+        # A group ends where the next position opens one.  Every other position
+        # writes to the unused slot 0, so no group's slot is written twice.
+        np.multiply(self.groups_head, self.opens_tail, out=self.ends_head)
+        np.copyto(self.ends_last, self.groups_last)
+        self.lasts[self.ends] = self.positions
+        self.lasts[0] = -1
+        # Slots past the block's group count are summed too, but never read.
+        np.add(self.lasts_head, self.lasts_tail, out=self.pair_sums_tail)
+
+    def _permutation(self, rng) -> None:
+        """``perm``: each row's argsort of n uniforms, plus n * row.
+
+        A uniform u is k / 2**53 for an integer k, so k shifted 11 bits left
+        has room for a column index below 2**11.  Sorting these keys in place
+        orders each row as argsort does wherever its uniforms are distinct.
+        Sorted keys of distinct uniforms in a row differ by at least 2**11
+        unless the uniforms are one step apart; equal ones differ by less.
+        A block with a gap below 2**11 (within a row or, harmlessly, across
+        rows), and any n above 2**11, is argsorted instead, so the order
+        among equal uniforms stays argsort's.
+        """
+        u = rng.random(out=self.u)
+        if self.n <= _KEY_COLS:
+            np.multiply(u, 2.0 ** 53, out=u)  # exact, and argsort's order is unchanged
+            self.key_ints[...] = u  # floats of 2**63 and above convert slowly
+            np.left_shift(self.keys, 11, out=self.keys)
+            np.bitwise_or(self.keys, self.cols, out=self.keys)
+            self.key_rows.sort()
+            np.subtract(self.keys_tail, self.keys_head, out=self.gaps)  # wraps across rows
+            if np.minimum.reduce(self.gaps) >= _KEY_COLS:
+                np.bitwise_and(self.key_ints, _KEY_COLS - 1, out=self.perm)
+                np.add(self.perm, self.row_starts, out=self.perm)
+                return
+            # The gaps overwrote the uniforms; each sorted key still holds one.
+            flat = self.row_starts + (self.key_ints & (_KEY_COLS - 1))
+            u[flat] = (self.keys >> np.uint64(11)).astype(float)
+        self.perm_rows[...] = np.argsort(self.u_rows, axis=1)
+        np.add(self.perm, self.row_starts, out=self.perm)
+
+
+def _stripe(plan, probs, gens, skips, first: int, stride: int) -> None:
+    """Doubled raw SRD of blocks first, first + stride, ... of a sub-stream.
+
+    ``plan`` holds each block's views, output slot and first sample;
+    ``probs`` is the tie probability, or each sample's donor column ('d').
+    ``gens`` hold the phases' generators at block ``first``; after each block
+    they skip the other workers' (full) blocks, ``skips`` draws each.
+    """
+    for b in range(first, len(plan), stride):
+        block, out, start = plan[b]
+        block_probs = probs[start:start + out.size] if np.ndim(probs) else probs
+        block.doubled_srd(iter(gens), block_probs, out)
+        if b + stride < len(plan):
+            for gen, skip in zip(gens, skips):
+                gen.bit_generator.advance(skip)
 
 
 def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.ndarray,
-                  n_bins: int) -> np.ndarray:
+                  n_bins: int, workers: int) -> np.ndarray:
     """Histogram of doubled raw SRD over the RNG sub-streams in ``chunks``.
 
-    ``chunks`` holds a (size, seed sequence) pair per sub-stream, and one set
-    of block buffers serves them all.  ``ref2`` is the fixed reference's
-    doubled ranks.  After the donor draw ('d'), a sub-stream is consumed in
-    phases, as by one ``rng.random`` call each: per ranking, (size, n - 1)
-    merge uniforms (tied options) and then (size, n) permutation uniforms;
-    for 'r' and 't' the solutions' phases, then the references'.
-    ``Generator.random`` takes one PCG64 output per double, so each phase
-    reads a copy of the generator advanced to the phase's start, and the
-    phases advance together in row blocks of ``_BLOCK`` elements.
+    ``chunks`` holds a (size, seed sequence) pair per sub-stream.  ``ref2``
+    is the fixed reference's doubled ranks.  After the donor draw ('d'), a
+    sub-stream is consumed in phases, as by one ``rng.random`` call each:
+    per ranking, (size, n - 1) merge uniforms (tied options) and then (size,
+    n) permutation uniforms; for 'r' and 't' the solutions' phases, then the
+    references'.  ``Generator.random`` takes one PCG64 output per double, so
+    each phase reads a copy of the generator advanced to the phase's start,
+    and the phases advance together in row blocks.  Worker w (the calling
+    thread is worker 0) draws blocks w, w + workers, ... of every sub-stream
+    from its own copies, advanced past the other workers' blocks.  The
+    calling thread prepares each sub-stream, with every view its blocks
+    need, and counts its values once all workers are done with it.
     """
     tied = option not in ("n", "r")
-    rankings = 2 if option in ("r", "t") else 1  # per sample
-    widths = (([n - 1] if tied else []) + [n]) * rankings
-    step = max(1, _BLOCK // n)
-    buffers = _BlockBuffers(min(max(size for size, _ in chunks), step), n,
-                            rankings if tied else 0)
+    two = option in ("r", "t")  # two drawn rankings per sample
+    widths = (([n - 1] if tied else []) + [n]) * (2 if two else 1)
+    largest = max(size for size, _ in chunks)
+    step = min(max(1, _BLOCK // (n * workers)), largest)  # the workers share one budget
+    tiles = _Tiles(step, n, tied, None if two else ref2, tie_probs if option == "d" else None)
+    buffers = [_BlockBuffers(tiles, two) for _ in range(workers)]
+    sums = np.empty(largest, dtype=np.int64)
+    plans = {}  # per sub-stream size: each block's views, output slot and first sample
+    # Per worker and phase, one generator; each sub-stream sets its state.
+    gens = [[np.random.Generator(np.random.PCG64(0)) for _ in widths] for _ in range(workers)]
+    skips = [(workers - 1) * step * width for width in widths]
     counts = np.zeros(n_bins, dtype=np.int64)
-    for size, seed_seq in chunks:
-        rng = np.random.default_rng(seed_seq)
-        if option == "d":
-            probs = tie_probs[rng.integers(0, tie_probs.shape[0], size=size)]
-        else:
-            probs = np.broadcast_to(tie_probs, (size,))
-        streams = [rng]
-        for width in widths[:-1]:
-            streams.append(copy.deepcopy(streams[-1]))
-            streams[-1].bit_generator.advance(size * width)
-        for start in range(0, size, step):
-            rows = min(step, size - start)
-            block_probs = probs[start:start + rows] if tied else None
-            draws = iter(streams)
-            a = buffers.ranking(draws, rows, block_probs, 0)
-            b = buffers.ranking(draws, rows, block_probs, 1) if rankings == 2 else ref2
-            np.subtract(a, b, out=a)
-            counts += np.bincount(np.abs(a, out=a).sum(axis=1), minlength=n_bins)
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        for size, seed_seq in chunks:
+            if size not in plans:
+                plans[size] = []
+                for b, start in enumerate(range(0, size, step)):
+                    rows, own = min(step, size - start), buffers[b % workers]
+                    plans[size].append((own.full if rows == step else _Block(own, rows),
+                                        sums[start:start + rows], start))
+            plan = plans[size]
+            rng = np.random.default_rng(seed_seq)
+            if option == "d":  # the donor column of each sample
+                probs = rng.integers(0, tie_probs.shape[0], size=size)
+            else:
+                probs = float(tie_probs[0]) if tied else None
+            state, start = rng.bit_generator.state, 0
+            for phase, width in enumerate(widths):
+                for w, own in enumerate(gens):
+                    own[phase].bit_generator.state = state
+                    own[phase].bit_generator.advance(start + w * step * width)
+                start += size * width
+            others = [pool.submit(_stripe, plan, probs, gens[w], skips, w, workers)
+                      for w in range(1, min(workers, len(plan)))]
+            _stripe(plan, probs, gens[0], skips, 0, workers)
+            for job in others:
+                job.result()
+            counts += np.bincount(sums[:size], minlength=n_bins)
     return counts
 
 
@@ -238,7 +390,7 @@ def generate_distribution(table: DataTable, option: str = "f",
                           tie_prob: float | None = None,
                           samples: int = 1_000_000,
                           seed: int | None = None,
-                          workers: int = 1) -> SrdDistribution:
+                          workers: int | None = None) -> SrdDistribution:
     """Simulate the null distribution of normalized SRD scores.
 
     Option semantics:
@@ -252,13 +404,16 @@ def generate_distribution(table: DataTable, option: str = "f",
            reference fixed.
 
     The run is split into sub-streams of 65,536 samples seeded from
-    ``seed``, so results are bit-identical for any ``workers`` count.  Each
-    sub-stream is drawn in row blocks of about 65,536 values and holds one
-    block at a time, so working memory stays at a few MB per worker and
-    does not grow with n up to 65,536; the blocks do not change the draws.
-    Seeded results are identical to those of earlier versions.  ``samples``
-    and ``workers`` must be positive integers, ``seed`` None or a
-    nonnegative integer.
+    ``seed``, and each sub-stream into row blocks of at most 65,536 values
+    over all workers together, so working memory stays at a few MB and
+    does not grow with n up to 65,536.  ``workers`` threads (by default
+    one per usable CPU, and never more than the usable CPUs or the blocks
+    of a sub-stream) draw the blocks of each sub-stream in turn, so a call
+    whose sub-streams fit in one block starts no thread.  Neither blocks nor
+    workers change the draws, so seeded results are bit-identical for any
+    ``workers`` count and to those of earlier versions.  ``samples`` must be
+    a positive integer, ``workers`` None or a positive integer, ``seed``
+    None or a nonnegative integer.
     """
     if option not in OPTIONS:
         raise SrdError(f"unknown distribution option {option!r}")
@@ -273,18 +428,22 @@ def generate_distribution(table: DataTable, option: str = "f",
     if n < 2:
         raise SrdError("distribution generation needs at least two rows")
     samples = checked_count(samples, "sample count")
-    workers = checked_count(workers, "worker count")
+    if workers is not None:
+        workers = checked_count(workers, "worker count")
     seed = checked_seed(seed)
 
     ref = table.col_labels.index(table.reference_label)
-    groups = TieGroups(table.values)
-    ref2 = groups.doubled_ranks()[ref].astype(np.int64)
+    columns = [ref]
+    if option == "d":  # the donors are the solution columns; only 'd' sorts them
+        columns += _reference_split(table)[1]
+    groups = TieGroups(table.values[:, columns])
+    ref2 = groups.doubled_ranks()[0]
     if option in ("t", "p"):
         tie_probs = np.full(1, float(tie_prob))
     elif option == "f":
-        tie_probs = groups.tie_probabilities()[[ref]]
-    elif option == "d":  # the donors are the solution columns
-        tie_probs = groups.tie_probabilities()[_reference_split(table)[1]]
+        tie_probs = groups.tie_probabilities()
+    elif option == "d":
+        tie_probs = groups.tie_probabilities()[1:]
     else:
         tie_probs = np.zeros(1)
 
@@ -293,16 +452,13 @@ def generate_distribution(table: DataTable, option: str = "f",
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     chunks = [(min(_CHUNK, samples - i * _CHUNK), children[i]) for i in range(n_chunks)]
-    workers = min(workers, n_chunks)
-
-    def run(w: int) -> np.ndarray:  # integer counts add exactly in any order
-        return _chunk_counts(option, n, chunks[w::workers], ref2, tie_probs, n_bins)
-
-    # The calling thread is worker 0; the others share one thread per usable CPU.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(workers, cpus or 1)) as pool:
-        others = pool.map(run, range(1, workers))
-        counts = run(0) + sum(others)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blocks = -(-min(samples, _CHUNK) * n // _BLOCK)  # in the largest sub-stream
+    counts = _chunk_counts(option, n, chunks, ref2, tie_probs, n_bins,
+                           min(workers or cpus, cpus, blocks))
 
     return _build_distribution(counts, samples, f, option=option, n_objects=n,
                                seed=seed, tie_prob=tie_prob, exact=False)

@@ -94,11 +94,24 @@ def test_rankmatrix_file_text(capsys, tmp_path, tied_csv):
         ";A;B\nr1;2;2\nr2;2;3.5\nr3;2;3.5\nr4;4;1\n")
 
 
-def test_tieprob_file_text(capsys, tmp_path, tied_csv):
+def test_tieprob_file_text(capsys, tmp_path, tied_csv, monkeypatch):
+    sorts = []  # one sort of the whole table
+    real = sk.core.TieGroups
+    monkeypatch.setattr(sk.core, "TieGroups",
+                        lambda values: sorts.append(values.shape) or real(values))
     assert main(["tieprob", tied_csv, "-o", str(tmp_path / "t")]) == 0
+    assert sorts == [(4, 3)]
     assert capsys.readouterr().out == "A: 0.6666667\nB: 0.3333333\nref: 0.0000000\n"
     assert (tmp_path / "t_tie_probability.csv").read_text() == (
         "A;0.6666667\nB;0.3333333\nref;0.0000000\n")
+
+
+def test_tieprob_of_one_row_exits_two(capsys, tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text(";A;B\nr1;1;2\n")
+    for extra in ([], ["--column", "B"]):
+        assert main(["tieprob", str(path), "--no-save", *extra]) == 2
+        assert "tie probability needs at least two values" in capsys.readouterr().err
 
 
 def test_quoted_labels_read_back_from_every_delimited_file(capsys, tmp_path):
@@ -345,6 +358,19 @@ def test_every_subcommand_documents_its_flags(capsys, command):
     assert "--help" in out
     if command not in ("maxsrd",):
         assert "--output-prefix" in out and "--no-save" in out
+
+
+def test_crrn_workers_default_to_the_usable_cpus(capsys, bundesliga_csv):
+    with pytest.raises(SystemExit):
+        main(["crrn", "--help"])
+    assert "one per usable CPU" in " ".join(capsys.readouterr().out.split())
+    argv = ["crrn", bundesliga_csv, "--samples", "3000", "--seed", "2", "--no-save"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--workers", "3"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(argv + ["--workers", "0"]) == 2
+    assert "worker count must be an integer of at least 1" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -219,5 +219,12 @@ class TestTieProbability:
         assert sk.tie_probability([7, 7, 7, 7]) == 1.0
 
     def test_too_short_rejected(self):
-        with pytest.raises(SrdError):
-            sk.tie_probability([1.0])
+        for values in ([1.0], [[1.0, 2.0]], np.empty((3, 0)), 1.0):
+            with pytest.raises(SrdError, match="at least two values"):
+                sk.tie_probability(values)
+
+    def test_matrix_gives_each_column(self, bundesliga):
+        probs = sk.tie_probability(bundesliga.values)
+        assert probs.shape == (bundesliga.n_cols,)
+        for j in range(bundesliga.n_cols):
+            assert probs[j] == sk.tie_probability(bundesliga.values[:, j])

@@ -103,10 +103,12 @@ class TestGenerateDistribution:
         assert np.array_equal(a.frequency, b.frequency)
         assert a.thresholds == b.thresholds
 
-    def test_worker_count_does_not_change_the_result(self, bundesliga):
+    def test_worker_count_does_not_change_the_result(self, bundesliga, monkeypatch):
+        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         base = sk.generate_distribution(bundesliga, option="f",
                                         samples=150_000, seed=10, workers=1)
-        for workers in (2, 8):
+        for workers in (2, 3, 8, None):
             other = sk.generate_distribution(bundesliga, option="f",
                                              samples=150_000, seed=10,
                                              workers=workers)
@@ -114,36 +116,94 @@ class TestGenerateDistribution:
             assert np.array_equal(base.frequency, other.frequency)
 
     def test_each_worker_builds_its_block_buffers_once(self, bundesliga, monkeypatch):
+        # One set per worker for the whole call, shared by all three sub-streams;
+        # a call of one block (3,000 samples x 18 values) has one worker.
         built = []
         real = distribution._BlockBuffers
         monkeypatch.setattr(distribution, "_BlockBuffers",
                             lambda *args: built.append(args) or real(*args))
-        for workers, expected in ((1, 1), (2, 2), (8, 3)):  # three sub-streams
+        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        for samples, workers, expected in ((150_000, 1, 1), (150_000, 2, 2),
+                                           (150_000, 8, 8), (3_000, 8, 1)):
             built.clear()
-            sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10,
+            sk.generate_distribution(bundesliga, option="f", samples=samples, seed=10,
                                      workers=workers)
             assert len(built) == expected
+            assert len({id(args[0]) for args in built}) == 1  # one set of shared tiles
 
     def test_thread_pool_is_bounded_by_the_usable_cpus(self, bundesliga, monkeypatch):
-        # 50 workers over 50 small sub-streams share 2 threads; the striping,
-        # and so the counts, stay those of 50 workers.
-        pools = []
+        # 50 workers over many small blocks, or the default, run as two workers on
+        # two usable CPUs: the calling thread and one pool thread.
+        pools, jobs = [], []
 
         class Recorder(distribution.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(distribution, "_CHUNK", 64)
+            def submit(self, *args):
+                jobs.append((len(args[1]), *args[5:]))  # blocks, first block, stride
+                return super().submit(*args)
+
+        monkeypatch.setattr(distribution, "_BLOCK", 64)
         monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(distribution, "ThreadPoolExecutor", Recorder)
-        kwargs = dict(option="f", samples=50 * 64, seed=10)
+        kwargs = dict(option="f", samples=70_000, seed=10)
         base = sk.generate_distribution(bundesliga, workers=1, **kwargs)
-        wide = sk.generate_distribution(bundesliga, workers=50, **kwargs)
-        assert pools == [1, 2]
-        assert np.array_equal(base.frequency, wide.frequency)
+        assert pools == [1] and jobs == []
+        for workers in (50, None):
+            pools.clear()
+            jobs.clear()
+            wide = sk.generate_distribution(bundesliga, workers=workers, **kwargs)
+            assert pools == [1]
+            assert jobs == [(65_536, 1, 2), (4_464, 1, 2)]  # 64 // (18 * 2) rows a block
+            assert np.array_equal(base.frequency, wide.frequency)
+
+    def test_only_option_d_sorts_the_solution_columns(self, mep, monkeypatch):
+        shapes = []
+        real = distribution.TieGroups
+        monkeypatch.setattr(distribution, "TieGroups",
+                            lambda values: shapes.append(values.shape) or real(values))
+        for option in distribution.OPTIONS:
+            shapes.clear()
+            sk.generate_distribution(mep, option, tie_prob=0.2 if option in "tp" else None,
+                                     samples=10, seed=1)
+            assert shapes == [mep.values.shape if option == "d" else (mep.n_rows, 1)]
+
+    def test_equal_uniforms_keep_the_argsort_order(self):
+        # Sorted keys cannot order equal uniforms as argsort does, so a block
+        # holding some is argsorted; n above 2**11 always is.
+        class Stub:
+            def __init__(self, values):
+                self.values = values
+
+            def random(self, out):
+                out[...] = self.values.ravel()
+                return out
+
+        rng = np.random.default_rng(3)
+        for n, rows in ((40, 4), (2100, 2)):
+            perm_u = rng.random((rows, n))
+            perm_u[1, ::3] = perm_u[1, 0]  # 14 equal uniforms in row 1
+            merge_u = rng.random((rows, n - 1))
+            expected_perm = np.argsort(perm_u, axis=1)
+            # argsort's order among them is not the column order of a stable sort
+            assert not np.array_equal(expected_perm[1], np.argsort(perm_u[1], kind="stable"))
+            block = distribution._BlockBuffers(distribution._Tiles(rows, n, tied=True)).full
+            untied = block.ranking(iter([Stub(perm_u)]), None, block.perm).copy()
+            offset = 2 * n * np.arange(rows)[:, None] - 3
+            assert np.array_equal(untied.reshape(rows, n) - offset, 2 * expected_perm + 2)
+            tied = block.ranking(iter([Stub(merge_u), Stub(perm_u)]), 0.4, block.perm)
+            for row in range(rows):  # sorted positions first..last share first + last + 2
+                starts = np.flatnonzero(np.r_[True, merge_u[row] >= 0.4])
+                ends = np.r_[starts[1:], n] - 1
+                sizes = ends - starts + 1
+                sorted2 = np.repeat(starts + ends + 2, sizes)
+                assert np.array_equal(tied[row * n:(row + 1) * n] - offset[row],
+                                      sorted2[expected_perm[row]])
 
     def test_missing_tie_prob_rejected(self, bundesliga):
         for option in ("t", "p"):
@@ -161,8 +221,14 @@ class TestGenerateDistribution:
             sk.generate_distribution(_pair_table(1), option="n", samples=10)
         with pytest.raises(SrdError):
             sk.generate_distribution(bundesliga, option="f", samples=0)
-        with pytest.raises(SrdError):
-            sk.generate_distribution(bundesliga, option="f", samples=10, workers=0)
+        for workers in (0, 1.5, True):
+            with pytest.raises(SrdError, match="worker count must be an integer"):
+                sk.generate_distribution(bundesliga, option="f", samples=10,
+                                         workers=workers)
+        default = sk.generate_distribution(bundesliga, option="f", samples=10, seed=1,
+                                           workers=None)
+        one = sk.generate_distribution(bundesliga, option="f", samples=10, seed=1, workers=1)
+        assert np.array_equal(default.frequency, one.frequency)
         with pytest.raises(SrdError, match="two columns"):  # option 'd' has no donor column
             sk.generate_distribution(sk.from_columns({"ref": [1, 2, 3]}), option="d",
                                      samples=10)
@@ -178,6 +244,25 @@ class TestGenerateDistribution:
     def test_bad_seed_samples_or_workers_rejected(self, bundesliga, kwargs, message):
         with pytest.raises(SrdError, match=message):
             sk.generate_distribution(bundesliga, option="f", **{"samples": 10, **kwargs})
+
+    def test_traced_peak_repeats_with_two_workers(self, bundesliga, mep, monkeypatch):
+        # Worker threads allocate nothing per block, so the way two workers'
+        # blocks overlap in time cannot move a call's allocation peak.
+        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        for table, option, tie_prob in ((bundesliga, "f", None), (mep, "d", None),
+                                        (_pair_table(120), "t", 0.2)):
+            kwargs = dict(tie_prob=tie_prob, samples=20_000, seed=1, workers=2)
+            sk.generate_distribution(table, option, **kwargs)  # warm-up
+            peaks = []
+            for _ in range(10):
+                tracemalloc.start()
+                try:
+                    sk.generate_distribution(table, option, **kwargs)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) - min(peaks) <= 0.005 * 2**20, (option, peaks)
 
     def test_tied_sampler_memory_does_not_grow_with_n(self):
         # A row block at a time needs a few MB whatever n is; holding a

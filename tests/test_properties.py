@@ -469,8 +469,12 @@ _TIE_PROBS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
 def _check_against_oracle(table, option, tie_prob, samples, seed, workers):
     tie_prob = tie_prob if option in ("t", "p") else None
-    dist = sk.generate_distribution(table, option, tie_prob=tie_prob,
-                                    samples=samples, seed=seed, workers=workers)
+    # As many usable CPUs as workers, so that each worker count stripes the
+    # blocks its own way, whatever the host.
+    with mock.patch.object(distribution.os, "sched_getaffinity", create=True,
+                           new=lambda pid: set(range(workers))):
+        dist = sk.generate_distribution(table, option, tie_prob=tie_prob,
+                                        samples=samples, seed=seed, workers=workers)
     support, frequency = _oracle_distribution(table, option, tie_prob, samples, seed)
     assert np.array_equal(dist.support, support)
     assert np.array_equal(dist.frequency, frequency)
@@ -484,21 +488,33 @@ def _check_against_oracle(table, option, tie_prob, samples, seed, workers):
 @settings(max_examples=80, deadline=None)
 @given(tables(max_rows=40), st.sampled_from(distribution.OPTIONS), _TIE_PROBS,
        st.integers(1, 1500), st.integers(1, 5000), st.integers(0, 2**32),
-       st.sampled_from([1, 2]))
+       st.sampled_from([1, 2, 3, 8]))
 def test_sampler_counts_equal_float_oracle(table, option, tie_prob, samples, block,
                                            seed, workers):
-    # Row blocks bound memory only, so any block budget gives the same counts;
-    # small budgets make many blocks, the last one usually partial.
+    # Row blocks and the workers that share them bound memory and time only,
+    # so any block budget and worker count give the same counts; small
+    # budgets make many blocks, the last one usually partial.
     with mock.patch.object(distribution, "_BLOCK", block):
         _check_against_oracle(table, option, tie_prob, samples, seed, workers)
 
 
 @settings(max_examples=8, deadline=None)
 @given(tables(max_rows=6), st.sampled_from(distribution.OPTIONS), _TIE_PROBS,
-       st.integers(65_537, 68_000), st.integers(0, 2**32), st.sampled_from([1, 2]))
+       st.integers(65_537, 68_000), st.integers(0, 2**32), st.sampled_from([1, 2, 3, 8]))
 def test_sampler_counts_equal_float_oracle_across_sub_streams(table, option, tie_prob,
                                                              samples, seed, workers):
     _check_against_oracle(table, option, tie_prob, samples, seed, workers)
+
+
+@pytest.mark.parametrize("option", distribution.OPTIONS)
+def test_sampler_counts_equal_float_oracle_beyond_the_sort_keys(option):
+    # n = 3000 has more columns than a sort key can index, so every block, of
+    # 21 rows for one worker and 10 for two, is argsorted.
+    rng = np.random.default_rng(3000)
+    table = sk.from_columns({"a": np.round(rng.normal(size=3000), 1),
+                             "ref": np.round(rng.normal(size=3000), 2)})
+    for workers in (1, 2):
+        _check_against_oracle(table, option, 0.3, 40, 7, workers)
 
 
 @settings(max_examples=100, deadline=None)
