@@ -31,6 +31,13 @@ def checked_count(value, what: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def checked_probability(value, what: str) -> float:
+    """``value`` as a float, or SrdError unless it is a real number in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+        raise SrdError(f"{what} must be a real number in [0, 1], got {value!r}")
+    return float(value)
+
+
 def checked_seed(seed) -> int | None:
     """A seed for numpy's SeedSequence: None or a nonnegative integer."""
     return None if seed is None else checked_count(seed, "seed", 0)
@@ -281,8 +288,7 @@ def max_srd(n: int) -> int:
 
     Equals floor(n^2 / 2): n^2/2 for even n and (n^2 - 1)/2 for odd n.
     """
-    if n < 1:
-        raise SrdError("n must be at least 1")
+    n = checked_count(n, "n")
     return n * n // 2
 
 

@@ -165,6 +165,7 @@ class CrossValReport:
 def make_folds(n: int, k: int, kind: str = "subsample",
                seed: int | None = None) -> FoldScheme:
     """Draw the retained-row sets for a k-fold run over n rows."""
+    n = checked_count(n, "row count", 0)
     k = checked_count(k, "fold count", 2)
     rng = np.random.default_rng(checked_seed(seed))
     folds = []

@@ -11,7 +11,9 @@ random, and significant dissimilarity (reverse ranking).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DataTable, SrdError, TieGroups, _reference_split, checked_count,
-                   checked_seed, fractional_ranks, max_srd)
+                   checked_probability, checked_seed, fractional_ranks, max_srd)
 
 OPTIONS = ("n", "r", "t", "p", "d", "f")
 
@@ -114,15 +116,13 @@ def random_tied_ranking(n: int, tie_prob: float, rng: np.random.Generator) -> np
     positions by a uniform random permutation.  tie_prob 0 gives a uniform
     permutation, tie_prob 1 a constant vector.
     """
-    if n < 1:
-        raise SrdError("n must be at least 1")
-    if not 0.0 <= tie_prob <= 1.0:
-        raise SrdError("tie probability must lie in [0, 1]")
+    n = checked_count(n, "n")
+    tie_prob = checked_probability(tie_prob, "tie probability")
     if n == 1:
         return np.ones(1)
     # Both phases come straight from ``rng``, which any bit generator allows.
-    block = _BlockBuffers(_Tiles(1, n, tied=True)).full
-    block.ranking(iter((rng, rng)), float(tie_prob), block.perm)
+    block = _Block(_Tiles(1, n, tied=True))
+    block.ranking(iter((rng, rng)), tie_prob, block.perm)
     return (block.perm + 3) / 2.0
 
 
@@ -146,80 +146,63 @@ class _Tiles:
         self.donor_probs = donor_probs  # option 'd': each donor column's tie frequency
 
 
-class _BlockBuffers:
-    """One worker's scratch arrays, reused via ``out=`` for every block of a call.
+class _Block:
+    """One worker's scratch arrays for blocks of ``tiles.rows`` rankings, and
+    every view of them and of the tiles, made before any worker starts.
 
     Workers allocate nothing per block (argsort's fallback aside), so the
     traced allocation peak of a call does not depend on how their blocks
     overlap in time.  Fresh ~0.5 MB temporaries per block also made glibc's
-    malloc return their pages and fault them in again every block.
-    ``full`` holds the views for a block of ``tiles.rows`` rankings.
+    malloc return their pages and fault them in again every block.  Buffers
+    serve several steps in turn: ``uniforms`` holds the merge uniforms, the
+    groups' last positions, the permutation uniforms, the sorted keys' gaps
+    and then ``perm``; ``keys`` option 'd''s merge probabilities, the
+    group-opening flags, the sort keys and the gathered groups;
+    ``pair_sums`` the merge flags and group ends.
     """
 
     def __init__(self, tiles: _Tiles, two_rankings: bool = False):
-        size = tiles.rows * tiles.n
-        tied = tiles.positions is not None
-        self.tiles = tiles
-        self.uniforms = np.empty(size + 1)
-        self.keys = np.empty(size, dtype=np.uint64)
-        self.groups = np.empty(size, dtype=np.int64) if tied else None
-        self.pair_sums = np.empty(size + 1, dtype=np.int64) if tied else None
-        self.ranks = np.empty(size, dtype=np.int64) if two_rankings else None
-        self.row_probs = None if tiles.donor_probs is None else np.empty(tiles.rows)
-        self.full = _Block(self, tiles.rows)
-
-
-class _Block:
-    """Views of a worker's buffers and of the tiles for a block of ``rows`` rankings.
-
-    They are made once per block size, before any worker starts, so the
-    workers create no arrays.  Buffers serve several steps in turn:
-    ``uniforms`` holds the merge uniforms, the groups' last positions, the
-    permutation uniforms, the sorted keys' gaps and then ``perm``; ``keys``
-    option 'd''s merge probabilities, the group-opening flags, the sort keys
-    and the gathered groups; ``pair_sums`` the merge flags and group ends.
-    """
-
-    def __init__(self, buffers: _BlockBuffers, rows: int):
-        tiles, n = buffers.tiles, buffers.tiles.n
+        rows, n = tiles.rows, tiles.n
         size, m = rows * n, rows * (n - 1)
         self.n = n
-        self.u = buffers.uniforms[:size]
+        uniforms = np.empty(size + 1)
+        self.u = uniforms[:size]
         self.u_rows = self.u.reshape(rows, n)
-        self.keys = buffers.keys[:size]
+        self.keys = np.empty(size, dtype=np.uint64)
         self.key_rows = self.keys.reshape(rows, n)
         self.keys_head, self.keys_tail = self.keys[:-1], self.keys[1:]
         self.key_ints = self.keys.view(np.int64)
-        self.cols = tiles.cols[:size]
+        self.cols = tiles.cols
         self.perm = self.u.view(np.int64)
         self.perm_rows = self.perm.reshape(rows, n)
         self.gaps = self.perm[:-1].view(np.uint64)
-        self.row_starts = tiles.row_starts[:size]
-        self.ref = None if tiles.ref is None else tiles.ref[:size]
-        self.ranks = None if buffers.ranks is None else buffers.ranks[:size]
+        self.row_starts = tiles.row_starts
+        self.ref = tiles.ref
+        self.ranks = np.empty(size, dtype=np.int64) if two_rankings else None
         self.ranks_rows = None if self.ranks is None else self.ranks.reshape(rows, n)
-        if buffers.groups is None:
+        if tiles.positions is None:
             return
-        self.merge_u = buffers.uniforms[:m]
-        self.merges = buffers.pair_sums.view(bool)[:m]
+        pair_sums = np.empty(size + 1, dtype=np.int64)
+        self.merge_u = uniforms[:m]
+        self.merges = pair_sums.view(bool)[:m]
         self.merge_probs = self.keys[:m].view(float)
         self.merge_probs_rows = self.merge_probs.reshape(rows, n - 1)
-        if buffers.row_probs is not None:
-            row_probs = buffers.row_probs[:rows]
+        if tiles.donor_probs is not None:
+            row_probs = np.zeros(rows)
             self.donors = (tiles.donor_probs, row_probs, row_probs[:, None])
         self.merges_rows = self.merges.reshape(rows, n - 1)
         opens = self.key_ints.reshape(rows, n)
         self.opens_first, self.opens_later = opens[:, 0], opens[:, 1:]
         self.opens_tail = self.key_ints[1:]
-        self.groups = buffers.groups[:size]
+        self.groups = np.empty(size, dtype=np.int64)
         self.groups_head, self.groups_last = self.groups[:-1], self.groups[-1:]
-        self.ends = buffers.pair_sums[:size]
+        self.ends = pair_sums[:size]
         self.ends_head, self.ends_last = self.ends[:-1], self.ends[-1:]
-        self.positions = tiles.positions[:size]
-        self.lasts = buffers.uniforms.view(np.int64)
-        self.lasts_head, self.lasts_tail = self.lasts[:size], self.lasts[1:size + 1]
-        self.pair_sums = buffers.pair_sums
-        self.pair_sums_tail = buffers.pair_sums[1:size + 1]
+        self.positions = tiles.positions
+        self.lasts = uniforms.view(np.int64)
+        self.lasts_head, self.lasts_tail = self.lasts[:size], self.lasts[1:]
+        self.pair_sums = pair_sums
+        self.pair_sums_tail = pair_sums[1:]
 
     def doubled_srd(self, draws, probs, out: np.ndarray) -> None:
         """Each sample's doubled raw SRD, against the fixed reference or a drawn one."""
@@ -263,7 +246,8 @@ class _Block:
         merge_u = rng.random(out=self.merge_u)
         if np.ndim(probs):  # each row's donor column, so one probability per row
             donor_probs, row_probs, row_column = self.donors
-            donor_probs.take(probs, out=row_probs, mode="clip")
+            # A short last block's padding rows keep earlier, valid probabilities.
+            donor_probs.take(probs, out=row_probs[:probs.size], mode="clip")
             np.copyto(self.merge_probs_rows, row_column)
             probs = self.merge_probs
         np.greater_equal(merge_u, probs, out=self.merges)
@@ -310,21 +294,23 @@ class _Block:
         np.add(self.perm, self.row_starts, out=self.perm)
 
 
-def _stripe(plan, probs, gens, skips, first: int, stride: int) -> None:
+def _stripe(block: _Block, gens, first: int, stride: int, state: dict, phases, probs,
+            sums: np.ndarray) -> None:
     """Doubled raw SRD of blocks first, first + stride, ... of a sub-stream.
 
-    ``plan`` holds each block's views, output slot and first sample;
-    ``probs`` is the tie probability, or each sample's donor column ('d').
-    ``gens`` hold the phases' generators at block ``first``; after each block
-    they skip the other workers' (full) blocks, ``skips`` draws each.
+    Row b of ``sums`` takes block b.  ``phases`` holds, per phase, where it
+    starts in the stream of the sub-stream's ``state`` and the draws of one
+    block; before each block, each of ``gens`` is set to its phase's draws
+    for that block.  ``probs`` is the tie probability, or each sample's
+    donor column ('d').
     """
-    for b in range(first, len(plan), stride):
-        block, out, start = plan[b]
-        block_probs = probs[start:start + out.size] if np.ndim(probs) else probs
-        block.doubled_srd(iter(gens), block_probs, out)
-        if b + stride < len(plan):
-            for gen, skip in zip(gens, skips):
-                gen.bit_generator.advance(skip)
+    rows = sums.shape[1]
+    for b in range(first, sums.shape[0], stride):
+        for gen, (start, draws) in zip(gens, phases):
+            gen.bit_generator.state = state
+            gen.bit_generator.advance(start + b * draws)
+        block_probs = probs[b * rows:(b + 1) * rows] if np.ndim(probs) else probs
+        block.doubled_srd(iter(gens), block_probs, sums[b])
 
 
 def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.ndarray,
@@ -337,52 +323,44 @@ def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.n
     per ranking, (size, n - 1) merge uniforms (tied options) and then (size,
     n) permutation uniforms; for 'r' and 't' the solutions' phases, then the
     references'.  ``Generator.random`` takes one PCG64 output per double, so
-    each phase reads a copy of the generator advanced to the phase's start,
-    and the phases advance together in row blocks.  Worker w (the calling
-    thread is worker 0) draws blocks w, w + workers, ... of every sub-stream
-    from its own copies, advanced past the other workers' blocks.  The
-    calling thread prepares each sub-stream, with every view its blocks
-    need, and counts its values once all workers are done with it.
+    each block of a phase is found in the stream from its index alone.  One
+    block size, within one ``_BLOCK`` budget for all workers, splits the
+    largest sub-stream about evenly over them.  A sub-stream's last block is
+    drawn whole and only its leading rows are counted: a row's draws sit at
+    the same place whatever the block size.  Worker w (the calling thread is
+    worker 0) draws blocks w, w + workers, ... of every sub-stream, and the
+    calling thread counts its values once all workers are done with it.
     """
     tied = option not in ("n", "r")
     two = option in ("r", "t")  # two drawn rankings per sample
     widths = (([n - 1] if tied else []) + [n]) * (2 if two else 1)
     largest = max(size for size, _ in chunks)
-    step = min(max(1, _BLOCK // (n * workers)), largest)  # the workers share one budget
+    budget = max(1, _BLOCK // (n * workers))  # rows per block within the shared budget
+    per_worker = -(-largest // (budget * workers))
+    step = -(-largest // (per_worker * workers))
     tiles = _Tiles(step, n, tied, None if two else ref2, tie_probs if option == "d" else None)
-    buffers = [_BlockBuffers(tiles, two) for _ in range(workers)]
-    sums = np.empty(largest, dtype=np.int64)
-    plans = {}  # per sub-stream size: each block's views, output slot and first sample
-    # Per worker and phase, one generator; each sub-stream sets its state.
+    blocks = [_Block(tiles, two) for _ in range(workers)]
+    sums = np.empty((-(-largest // step), step), dtype=np.int64)
+    # Per worker and phase, one generator; each block sets its state.
     gens = [[np.random.Generator(np.random.PCG64(0)) for _ in widths] for _ in range(workers)]
-    skips = [(workers - 1) * step * width for width in widths]
     counts = np.zeros(n_bins, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         for size, seed_seq in chunks:
-            if size not in plans:
-                plans[size] = []
-                for b, start in enumerate(range(0, size, step)):
-                    rows, own = min(step, size - start), buffers[b % workers]
-                    plans[size].append((own.full if rows == step else _Block(own, rows),
-                                        sums[start:start + rows], start))
-            plan = plans[size]
             rng = np.random.default_rng(seed_seq)
             if option == "d":  # the donor column of each sample
                 probs = rng.integers(0, tie_probs.shape[0], size=size)
             else:
                 probs = float(tie_probs[0]) if tied else None
-            state, start = rng.bit_generator.state, 0
-            for phase, width in enumerate(widths):
-                for w, own in enumerate(gens):
-                    own[phase].bit_generator.state = state
-                    own[phase].bit_generator.advance(start + w * step * width)
-                start += size * width
-            others = [pool.submit(_stripe, plan, probs, gens[w], skips, w, workers)
-                      for w in range(1, min(workers, len(plan)))]
-            _stripe(plan, probs, gens[0], skips, 0, workers)
+            phases = [(size * start, step * width)
+                      for start, width in zip(itertools.accumulate([0] + widths), widths)]
+            own = sums[:-(-size // step)]  # the sub-stream's blocks
+            args = (workers, rng.bit_generator.state, phases, probs, own)
+            others = [pool.submit(_stripe, blocks[w], gens[w], w, *args)
+                      for w in range(1, min(workers, len(own)))]
+            _stripe(blocks[0], gens[0], 0, *args)
             for job in others:
                 job.result()
-            counts += np.bincount(sums[:size], minlength=n_bins)
+            counts += np.bincount(sums.reshape(-1)[:size], minlength=n_bins)
     return counts
 
 
@@ -404,24 +382,25 @@ def generate_distribution(table: DataTable, option: str = "f",
            reference fixed.
 
     The run is split into sub-streams of 65,536 samples seeded from
-    ``seed``, and each sub-stream into row blocks of at most 65,536 values
-    over all workers together, so working memory stays at a few MB and
-    does not grow with n up to 65,536.  ``workers`` threads (by default
+    ``seed``, and each sub-stream into row blocks of one size per call, at
+    most 65,536 values over all workers together, so working memory stays
+    at a few MB and does not grow with n up to 65,536.  A sub-stream's last
+    block is drawn whole and only its leading rows are counted, and each
+    block's draws are found from its index.  ``workers`` threads (by default
     one per usable CPU, and never more than the usable CPUs or the blocks
     of a sub-stream) draw the blocks of each sub-stream in turn, so a call
     whose sub-streams fit in one block starts no thread.  Neither blocks nor
     workers change the draws, so seeded results are bit-identical for any
     ``workers`` count and to those of earlier versions.  ``samples`` must be
-    a positive integer, ``workers`` None or a positive integer, ``seed``
-    None or a nonnegative integer.
+    a positive integer, ``tie_prob`` a real number in [0, 1], ``workers``
+    None or a positive integer, ``seed`` None or a nonnegative integer.
     """
     if option not in OPTIONS:
         raise SrdError(f"unknown distribution option {option!r}")
     if option in ("t", "p"):
         if tie_prob is None:
             raise SrdError(f"option {option!r} requires a tie probability")
-        if not 0.0 <= tie_prob <= 1.0:
-            raise SrdError("tie probability must lie in [0, 1]")
+        tie_prob = checked_probability(tie_prob, "tie probability")
     elif tie_prob is not None:
         raise SrdError("tie_prob only applies to options 't' and 'p'")
     n = table.n_rows
@@ -439,7 +418,7 @@ def generate_distribution(table: DataTable, option: str = "f",
     groups = TieGroups(table.values[:, columns])
     ref2 = groups.doubled_ranks()[0]
     if option in ("t", "p"):
-        tie_probs = np.full(1, float(tie_prob))
+        tie_probs = np.full(1, tie_prob)
     elif option == "f":
         tie_probs = groups.tie_probabilities()
     elif option == "d":
@@ -474,8 +453,9 @@ def exact_distribution(n: int, reference=None) -> SrdDistribution:
     open items.  Distinct partial matchings extend to distinct permutations,
     so no count exceeds n!.
     """
-    if not 2 <= n <= EXACT_MAX_N:
+    if isinstance(n, numbers.Integral) and not 2 <= n <= EXACT_MAX_N:
         raise SrdError(f"exact distribution supports 2 <= n <= {EXACT_MAX_N}")
+    n = checked_count(n, "n", 2)
     if reference is None:
         ref2 = 2 * np.arange(1, n + 1, dtype=np.int64)
     else:

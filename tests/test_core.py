@@ -46,6 +46,11 @@ class TestMaxSrd:
         with pytest.raises(SrdError):
             sk.max_srd(0)
 
+    @pytest.mark.parametrize("n", [2.5, True, "4"])
+    def test_rejects_non_integers(self, n):
+        with pytest.raises(SrdError, match="n must be an integer of at least 1"):
+            sk.max_srd(n)
+
 
 class TestDataTable:
     def test_duplicate_column_labels_rejected(self):

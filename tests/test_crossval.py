@@ -67,6 +67,11 @@ class TestMakeFolds:
         with pytest.raises(SrdError, match=message):
             sk.cross_validate(bundesliga, **kwargs)
 
+    @pytest.mark.parametrize("n", [10.5, np.float64(10.0), "10"])
+    def test_row_count_must_be_an_integer(self, n):
+        with pytest.raises(SrdError, match="row count must be an integer"):
+            sk.make_folds(n, 2)
+
     def test_numpy_integer_seed_equals_int_seed(self):
         assert sk.make_folds(18, np.int64(8), seed=np.int64(3)) == sk.make_folds(18, 8, seed=3)
 

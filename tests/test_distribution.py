@@ -57,6 +57,16 @@ class TestRandomTiedRanking:
         with pytest.raises(SrdError):
             sk.random_tied_ranking(0, 0.5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [2.5, True, "5"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(SrdError, match="n must be an integer of at least 1"):
+            sk.random_tied_ranking(n, 0.5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("tie_prob", ["0.2", True, np.True_, None])
+    def test_tie_prob_must_be_a_real_number(self, tie_prob):
+        with pytest.raises(SrdError, match=r"tie probability must be a real number in \[0, 1\]"):
+            sk.random_tied_ranking(5, tie_prob, np.random.default_rng(0))
+
 
 class TestGenerateDistribution:
     def test_footrule_option_matches_enumeration_for_n3(self):
@@ -119,8 +129,8 @@ class TestGenerateDistribution:
         # One set per worker for the whole call, shared by all three sub-streams;
         # a call of one block (3,000 samples x 18 values) has one worker.
         built = []
-        real = distribution._BlockBuffers
-        monkeypatch.setattr(distribution, "_BlockBuffers",
+        real = distribution._Block
+        monkeypatch.setattr(distribution, "_Block",
                             lambda *args: built.append(args) or real(*args))
         monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
@@ -143,7 +153,7 @@ class TestGenerateDistribution:
                 super().__init__(max_workers=max_workers)
 
             def submit(self, *args):
-                jobs.append((len(args[1]), *args[5:]))  # blocks, first block, stride
+                jobs.append((len(args[-1]), *args[3:5]))  # blocks, first block, stride
                 return super().submit(*args)
 
         monkeypatch.setattr(distribution, "_BLOCK", 64)
@@ -161,6 +171,31 @@ class TestGenerateDistribution:
             assert pools == [1]
             assert jobs == [(65_536, 1, 2), (4_464, 1, 2)]  # 64 // (18 * 2) rows a block
             assert np.array_equal(base.frequency, wide.frequency)
+
+    @pytest.mark.parametrize("n", [18, 120])
+    def test_workers_draw_equal_shares_of_a_full_sub_stream(self, n, monkeypatch):
+        # One block size per call: each worker draws as many blocks of a full
+        # sub-stream as the others, and their blocks together fit the budget.
+        stripes = []
+        real = distribution._stripe
+
+        def record(block, gens, first, stride, *args):
+            stripes.append((first, stride, args[-1].shape))
+            real(block, gens, first, stride, *args)
+
+        monkeypatch.setattr(distribution, "_stripe", record)
+        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        for workers in (1, 2, 3):
+            stripes.clear()
+            sk.generate_distribution(_pair_table(n), "n", samples=65_536, seed=1,
+                                     workers=workers)
+            assert sorted(first for first, _, _ in stripes) == list(range(workers))
+            (blocks, step), = {shape for _, _, shape in stripes}
+            assert (blocks - 1) * step < 65_536 <= blocks * step
+            assert step * n * workers <= distribution._BLOCK
+            shares = {len(range(first, blocks, stride)) for first, stride, _ in stripes}
+            assert shares == {blocks // workers}
 
     def test_only_option_d_sorts_the_solution_columns(self, mep, monkeypatch):
         shapes = []
@@ -192,7 +227,7 @@ class TestGenerateDistribution:
             expected_perm = np.argsort(perm_u, axis=1)
             # argsort's order among them is not the column order of a stable sort
             assert not np.array_equal(expected_perm[1], np.argsort(perm_u[1], kind="stable"))
-            block = distribution._BlockBuffers(distribution._Tiles(rows, n, tied=True)).full
+            block = distribution._Block(distribution._Tiles(rows, n, tied=True))
             untied = block.ranking(iter([Stub(perm_u)]), None, block.perm).copy()
             offset = 2 * n * np.arange(rows)[:, None] - 3
             assert np.array_equal(untied.reshape(rows, n) - offset, 2 * expected_perm + 2)
@@ -209,6 +244,11 @@ class TestGenerateDistribution:
         for option in ("t", "p"):
             with pytest.raises(SrdError, match="tie probability"):
                 sk.generate_distribution(bundesliga, option=option, samples=10)
+
+    @pytest.mark.parametrize("option, tie_prob", [("p", True), ("t", "0.2"), ("p", np.False_)])
+    def test_tie_prob_must_be_a_real_number(self, bundesliga, option, tie_prob):
+        with pytest.raises(SrdError, match=r"tie probability must be a real number in \[0, 1\]"):
+            sk.generate_distribution(bundesliga, option=option, tie_prob=tie_prob, samples=10)
 
     def test_tie_prob_rejected_for_other_options(self, bundesliga):
         with pytest.raises(SrdError, match="tie_prob"):
@@ -304,6 +344,11 @@ class TestExactDistribution:
         for n in (1, 19):
             with pytest.raises(SrdError):
                 sk.exact_distribution(n)
+
+    @pytest.mark.parametrize("n", [18.0, 5.0, "5"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(SrdError, match="n must be an integer"):
+            sk.exact_distribution(n)
 
     def test_invalid_reference_rejected(self):
         with pytest.raises(SrdError):
