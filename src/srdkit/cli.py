@@ -25,12 +25,7 @@ from .core import (
 )
 from .crossval import TESTS, cross_validate
 from .distribution import OPTIONS, classify, generate_distribution
-from .preprocess import (
-    PREPROCESS_METHODS,
-    ReferenceSpec,
-    create_reference,
-    preprocess_table,
-)
+from .preprocess import PREPROCESS_METHODS, create_reference, preprocess_table
 from .tableio import (
     TableFileSpec,
     delimited,
@@ -77,8 +72,8 @@ def _add_io_options(sub, with_reference=True):
                      help="scale every column before the analysis")
     if with_reference:
         sub.add_argument("--reference", default="last", metavar="SPEC",
-                         help="'last', a column name, or synth:KIND "
-                              "(KIND: mean|median|min|max|mixed:m1,m2,...)")
+                         help="'last', a column name, or synth:SPEC "
+                              "(SPEC: mean|median|min|max|mixed:m1,m2,...)")
     sub.add_argument("-o", "--output-prefix", default="srd", metavar="PREFIX",
                      help="path prefix for written reports (default 'srd')")
     sub.add_argument("--no-save", action="store_true",
@@ -99,16 +94,7 @@ def _load_table(args, with_reference=True):
     if ref == "last":
         return table.with_reference(table.col_labels[-1])
     if ref.startswith("synth:"):
-        parts = ref.split(":", 2)
-        kind = parts[1]
-        if kind == "mixed":
-            if len(parts) < 3 or not parts[2]:
-                raise SrdError("synth:mixed needs a per-row list, "
-                               "e.g. synth:mixed:max,min,mean,mean")
-            spec = ReferenceSpec("mixed", tuple(parts[2].split(",")))
-        else:
-            spec = ReferenceSpec(kind)
-        return create_reference(table, spec)
+        return create_reference(table, ref.removeprefix("synth:"))
     return table.with_reference(ref)
 
 
@@ -212,10 +198,14 @@ def _cmd_crrn(args):
 def _cmd_crossval(args):
     table = _load_table(args)
     if args.replay:
+        if args.test is not None or args.folds is not None or args.seed is not None:
+            raise UsageError("--replay reruns the recorded test and folds; "
+                             "it takes no --test, --folds or --seed")
         test, scheme = read_replay(args.replay, args.delimiter)
         report = cross_validate(table, test=test, scheme=scheme)
     else:
-        report = cross_validate(table, test=args.test, k=args.folds, seed=args.seed)
+        report = cross_validate(table, test=args.test or "wilcoxon", k=args.folds,
+                                seed=args.seed)
     print(render_crossval_report(report, args.delimiter), end="")
     if not args.no_save:
         write_crossval_report(report, _out(args, "crossval.csv"), args.delimiter)
@@ -294,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("crossval", help="cross-validated pairwise testing")
     _add_io_options(sub)
-    sub.add_argument("--test", choices=TESTS, default="wilcoxon")
+    sub.add_argument("--test", choices=TESTS, default=None,
+                     help="pair test (default wilcoxon)")
     sub.add_argument("--folds", type=int, default=None,
                      help="fold count (default 8 for wilcoxon, else 10)")
     sub.add_argument("--seed", type=int, default=None)

@@ -57,6 +57,10 @@ class DataTable:
     no column has been designated explicitly; operations that need one fall
     back to the last column, which is the conventional position for the
     reference.
+
+    ``values`` is stored as a read-only float64 array.  A float64 input is
+    adopted, not copied: the caller's array is marked read-only too, but a
+    writable view taken from it earlier can still change the table.
     """
 
     values: np.ndarray

@@ -420,11 +420,14 @@ def cross_validate(table: DataTable, test: str = "wilcoxon",
     The signed-rank test defaults to 8 subsample folds and takes at most
     62; the two paired-replication tests default to 10 half-split folds.
     Passing a ``scheme`` (for instance one read back from a replay file)
-    reruns the recorded folds exactly; the paired-replication tests take
-    only half-split schemes, whose fold pairs are their replications.
+    reruns the recorded folds exactly and excludes ``k`` and ``seed``; the
+    paired-replication tests take only half-split schemes, whose fold pairs
+    are their replications.
     """
     if test not in TESTS:
         raise SrdError(f"unknown test {test!r}; expected one of {', '.join(TESTS)}")
+    if scheme is not None and (k is not None or seed is not None):
+        raise SrdError("a fold scheme fixes the folds; k and seed must be left unset")
     if scheme is None:
         if k is None:
             k = 8 if test == "wilcoxon" else 10

@@ -88,12 +88,15 @@ class SrdDistribution:
             raise SrdError("distribution support must not be empty")
         if support.shape != frequency.shape:
             raise SrdError("support and frequency lengths differ")
-        if self.sample_count < 1:
+        count = self.sample_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise SrdError(f"sample count must be an integer, got {count!r}")
+        if count < 1:
             raise SrdError("sample count must be positive")
-        if np.any(np.diff(support) <= 0):
-            raise SrdError("distribution support must be strictly increasing")
-        if np.any(frequency < 0) or abs(frequency.sum() - 1.0) > 1e-9:
-            raise SrdError("frequencies must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(support)) or np.any(np.diff(support) <= 0):
+            raise SrdError("distribution support must be finite and strictly increasing")
+        if not np.all(frequency >= 0) or abs(frequency.sum() - 1.0) > 1e-9:
+            raise SrdError("frequencies must be finite, nonnegative and sum to 1")
         f = max_srd(self.n_objects)
         if f:
             grid = support * (2 * f)

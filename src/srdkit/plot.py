@@ -289,6 +289,8 @@ def plot_heatmap(matrix: PairwiseMatrix,
     if palette is None:
         palette = DEFAULT_PALETTE
     values = matrix.values
+    if not np.all((values >= 0) & (values <= 1)):
+        raise SrdError("pairwise distances must be finite and lie in [0, 1]")
     if not np.array_equal(values, values.T):
         raise SrdError("pairwise distance matrix must be symmetric")
     if np.any(values.diagonal() != 0):

@@ -40,13 +40,15 @@ class ReferenceSpec:
             )
         if self.kind == "mixed":
             if not self.per_row:
-                raise SrdError("mixed reference needs a per-row method list")
+                raise SrdError("mixed reference needs a per-row method list, "
+                               "e.g. mixed:max,min,mean,mean")
             object.__setattr__(self, "per_row", tuple(self.per_row))
             bad = sorted({m for m in self.per_row if m not in REFERENCE_KINDS})
             if bad:
-                raise SrdError(f"unknown per-row reference method(s): {', '.join(bad)}")
+                raise SrdError("unknown per-row reference method(s): "
+                               + ", ".join(map(repr, bad)))
         elif self.per_row is not None:
-            raise SrdError("per_row only applies to the mixed reference method")
+            raise SrdError(f"per-row methods only apply to mixed, not to {self.kind!r}")
 
 
 def _scale_to_unit(col: np.ndarray, label: str) -> np.ndarray:
@@ -116,30 +118,25 @@ def create_reference(table: DataTable, spec: ReferenceSpec | str) -> DataTable:
     """Append a synthesized reference column named "refCol".
 
     Each row of the new column aggregates that row's solution values with
-    the requested statistic (or the per-row statistic under mixed).  The
-    input table is not modified; the result designates "refCol" as its
+    the requested statistic (or the per-row statistic under mixed).  A
+    string ``spec`` is ``KIND`` or ``mixed:m1,m2,...``, one method per row.
+    The input table is not modified; the result designates "refCol" as its
     reference.
     """
     if isinstance(spec, str):
-        spec = ReferenceSpec(spec)
+        kind, sep, methods = spec.partition(":")
+        spec = ReferenceSpec(kind, tuple(methods.split(",")) if sep else None)
+    elif not isinstance(spec, ReferenceSpec):
+        raise SrdError(f"reference spec must be a string or ReferenceSpec, got {spec!r}")
     if REFERENCE_COLUMN in table.col_labels:
         raise SrdError(f"table already has a {REFERENCE_COLUMN!r} column")
-    if table.reference is not None:
-        sol = [j for j, c in enumerate(table.col_labels) if c != table.reference]
-    else:
-        sol = list(range(table.n_cols))
+    methods = spec.per_row or (spec.kind,) * table.n_rows
+    if len(methods) != table.n_rows:
+        raise SrdError(f"mixed reference lists {len(methods)} methods "
+                       f"for {table.n_rows} rows")
+    sol = [j for j, c in enumerate(table.col_labels) if c != table.reference]
     rows = table.values[:, sol]
-    if spec.kind == "mixed":
-        if len(spec.per_row) != table.n_rows:
-            raise SrdError(
-                f"mixed reference lists {len(spec.per_row)} methods "
-                f"for {table.n_rows} rows"
-            )
-        ref = np.array(
-            [_ROW_STATS[m](rows[i, :]) for i, m in enumerate(spec.per_row)]
-        )
-    else:
-        ref = np.array([_ROW_STATS[spec.kind](rows[i, :]) for i in range(table.n_rows)])
+    ref = np.array([_ROW_STATS[m](row) for m, row in zip(methods, rows)])
     values = np.column_stack([table.values, ref])
     return DataTable(
         values,

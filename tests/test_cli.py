@@ -72,6 +72,19 @@ def test_reference_synth_mean(capsys, tmp_path, srd_input_csv):
     assert (tmp_path / "r_with_reference.csv").exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("synth:median:junk", "per-row methods only apply to mixed, not to 'median'"),
+    ("synth:mixed", "mixed reference needs a per-row method list, "
+                    "e.g. mixed:max,min,mean,mean"),
+    ("synth:mixed:", "unknown per-row reference method(s): ''"),
+])
+def test_reference_synth_rejects_malformed_spec(capsys, srd_input_csv, spec, message):
+    assert main(["reference", srd_input_csv, "--reference", spec, "--no-save"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"srd: error: {message}\n"
+
+
 def test_rankmatrix_excludes_reference(capsys, tmp_path, bundesliga_csv):
     assert main(["rankmatrix", bundesliga_csv, "-o", str(tmp_path / "m"),
                  "--no-save"]) == 0
@@ -234,6 +247,20 @@ def test_crossval_report_and_replay(capsys, tmp_path, bundesliga_csv):
                  str(tmp_path / "cv_replay.csv"), "-o", replay_prefix]) == 0
     capsys.readouterr()
     assert (tmp_path / "again_crossval.csv").read_bytes() == report
+
+
+@pytest.mark.parametrize("extra", [["--folds", "8"], ["--seed", "4"],
+                                   ["--test", "wilcoxon"]])
+def test_replay_rejects_fold_options(capsys, tmp_path, bundesliga_csv, extra):
+    prefix = str(tmp_path / "cv")
+    assert main(["crossval", bundesliga_csv, "--seed", "4", "-o", prefix]) == 0
+    capsys.readouterr()
+    assert main(["crossval", bundesliga_csv, "--replay", prefix + "_replay.csv",
+                 "--no-save", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("srd: error: --replay reruns the recorded test and folds; "
+                            "it takes no --test, --folds or --seed\n")
 
 
 def test_crossval_beyond_signed_rank_fold_limit_exits_two(capsys, tmp_path):

@@ -73,6 +73,28 @@ class TestDataTable:
         with pytest.raises(SrdError):
             sk.DataTable(np.ones((2, 3)), ("r1", "r2"), ("a", "b"))
 
+    def test_row_label_count_mismatch(self):
+        with pytest.raises(SrdError, match="expected 2 row labels, got 3"):
+            sk.DataTable(np.ones((2, 3)), ("r1", "r2", "r3"), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("values", [np.ones(3), np.ones((0, 2)), np.ones((2, 0)),
+                                        np.ones((1, 1, 1))])
+    def test_values_must_be_a_non_empty_matrix(self, values):
+        with pytest.raises(SrdError, match="non-empty 2-D matrix"):
+            sk.DataTable(values, ("r",), ("a",))
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(SrdError, match="at least one column is required"):
+            sk.from_columns({})
+
+    def test_unknown_column_lookup_rejected(self):
+        with pytest.raises(SrdError, match="no column named 'z'"):
+            sk.from_columns({"a": [1, 2]}).column("z")
+
+    def test_select_no_rows_rejected(self):
+        with pytest.raises(SrdError, match="cannot select an empty set of rows"):
+            sk.from_columns({"a": [1, 2]}).select_rows([])
+
     def test_values_are_immutable(self):
         table = sk.from_columns({"a": [1, 2]})
         with pytest.raises(ValueError):
@@ -227,6 +249,11 @@ class TestTieProbability:
         for values in ([1.0], [[1.0, 2.0]], np.empty((3, 0)), 1.0):
             with pytest.raises(SrdError, match="at least two values"):
                 sk.tie_probability(values)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SrdError, match="tie probability requires finite values"):
+                sk.tie_probability([1.0, bad, 2.0])
 
     def test_matrix_gives_each_column(self, bundesliga):
         probs = sk.tie_probability(bundesliga.values)

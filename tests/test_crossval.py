@@ -83,7 +83,8 @@ class TestMakeFolds:
         with pytest.raises(SrdError):
             sk.FoldScheme("subsample", ((0, 1),), 2)
 
-    @pytest.mark.parametrize("fold", [(0, 1, 2.5), (0.0, 1.0), ("0", "1"), (True, False)])
+    @pytest.mark.parametrize("fold", [(0, 1, 2.5), (0.0, 1.0), ("0", "1"), (True, False),
+                                      ([0, 1], [2]), 5])
     def test_scheme_rejects_non_integer_indices(self, fold):
         with pytest.raises(SrdError, match="integers"):
             sk.FoldScheme("subsample", (fold,), 1)
@@ -415,6 +416,16 @@ class TestEvaluateFolds:
 
 
 class TestCrossValidate:
+    def test_unknown_test_rejected(self, bundesliga):
+        with pytest.raises(SrdError, match="unknown test 'sign'; expected one of"):
+            sk.cross_validate(bundesliga, test="sign")
+
+    @pytest.mark.parametrize("extra", [{"k": 5}, {"seed": 99}, {"k": 5, "seed": 99}])
+    def test_scheme_excludes_k_and_seed(self, bundesliga, extra):
+        scheme = sk.make_folds(bundesliga.n_rows, 8, "subsample", seed=1)
+        with pytest.raises(SrdError, match="k and seed must be left unset"):
+            sk.cross_validate(bundesliga, scheme=scheme, **extra)
+
     def test_seed_determinism(self, bundesliga):
         a = sk.cross_validate(bundesliga, seed=20)
         b = sk.cross_validate(bundesliga, seed=20)

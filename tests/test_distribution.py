@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -141,6 +142,23 @@ class TestGenerateDistribution:
                                      workers=workers)
             assert len(built) == expected
             assert len({id(args[0]) for args in built}) == 1  # one set of shared tiles
+
+    @pytest.mark.parametrize("cpus, expected", [(None, 1), (3, 3)])
+    def test_default_workers_fall_back_to_cpu_count(self, bundesliga, monkeypatch,
+                                                    cpus, expected):
+        # Where os.sched_getaffinity is missing, os.cpu_count() gives the usable
+        # CPUs, and one CPU is assumed when it returns None.
+        built = []
+        real = distribution._Block
+        monkeypatch.setattr(distribution, "_Block",
+                            lambda *args: built.append(args) or real(*args))
+        monkeypatch.delattr(distribution.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
+        dist = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10)
+        assert len(built) == expected
+        base = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10,
+                                        workers=1)
+        assert np.array_equal(dist.frequency, base.frequency)
 
     def test_thread_pool_is_bounded_by_the_usable_cpus(self, bundesliga, monkeypatch):
         # 50 workers over many small blocks, or the default, run as two workers on
@@ -434,6 +452,28 @@ class TestThresholds:
                 sk.SrdDistribution(support=dist.support, frequency=dist.frequency,
                                    thresholds=dist.thresholds, option="exact",
                                    n_objects=3, sample_count=count, exact=True)
+
+    @pytest.mark.parametrize("count", [6.5, 6.0, True, "6", None])
+    def test_non_integer_sample_count_rejected(self, count):
+        dist = sk.exact_distribution(3)
+        with pytest.raises(SrdError, match="sample count must be an integer, got"):
+            dataclasses.replace(dist, sample_count=count)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("frequency", [math.nan, 0.5, 0.5], "frequencies must be finite, nonnegative"),
+        ("frequency", [math.inf, 0.5, 0.5], "frequencies must be finite, nonnegative"),
+        ("frequency", [-0.5, 0.5, 1.0], "frequencies must be finite, nonnegative"),
+        ("frequency", [0.2, 0.2, 0.2], "frequencies must be .* sum to 1"),
+        ("frequency", [0.5, 0.5], "support and frequency lengths differ"),
+        ("support", [0.5, 0.25, 0.0], "support must be finite and strictly increasing"),
+        ("support", [0.0, math.nan, 1.0], "support must be finite and strictly increasing"),
+        ("support", [0.0, 0.5, 1.01], r"support values must be multiples of 0\.5/4 for n=3"),
+    ])
+    def test_malformed_fields_rejected(self, field, value, message):
+        dist = sk.exact_distribution(3)
+        assert dist.support.tolist() == [0.0, 0.5, 1.0]
+        with pytest.raises(SrdError, match=message):
+            dataclasses.replace(dist, **{field: value})
 
     def test_empty_support_rejected(self):
         with pytest.raises(SrdError, match="empty"):

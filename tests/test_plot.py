@@ -114,6 +114,17 @@ class TestHeatmap:
         with pytest.raises(SrdError, match="square"):
             sk.PairwiseMatrix(("a",), np.zeros((1, 2)))
 
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(SrdError, match="one label per matrix row is required"):
+            sk.PairwiseMatrix(("a", "b", "c"), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("off", [-0.5, 1.5, np.nan, np.inf, -np.inf])
+    def test_distances_outside_the_unit_interval_rejected(self, off):
+        # Symmetric with a zero diagonal, so only the range check can catch it.
+        matrix = sk.PairwiseMatrix(("a", "b"), np.array([[0.0, off], [off, 0.0]]))
+        with pytest.raises(SrdError, match=r"must be finite and lie in \[0, 1\]"):
+            sk.plot_heatmap(matrix)
+
     def test_asymmetric_rejected(self):
         matrix = sk.PairwiseMatrix(("a", "b"), np.array([[0.0, 0.2], [0.3, 0.0]]))
         with pytest.raises(SrdError, match="symmetric"):

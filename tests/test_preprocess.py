@@ -130,6 +130,35 @@ class TestCreateReference:
         with pytest.raises(SrdError, match="refCol"):
             sk.create_reference(table, "mean")
 
+    def test_mixed_string_equals_spec_form(self):
+        table = sk.from_columns({"A": [2, 5, 7, 8], "B": [5, 1, 6, 10], "C": [6, 3, 2, 3]})
+        spec = sk.ReferenceSpec("mixed", ("max", "min", "mean", "median"))
+        by_spec = sk.create_reference(table, spec)
+        by_string = sk.create_reference(table, "mixed:max,min,mean,median")
+        assert by_string.column("refCol").tobytes() == by_spec.column("refCol").tobytes()
+        assert by_string.col_labels == by_spec.col_labels
+        assert by_string.reference == by_spec.reference == "refCol"
+
+    @pytest.mark.parametrize("text, message", [
+        ("median:junk", "per-row methods only apply to mixed, not to 'median'"),
+        ("mean:", "per-row methods only apply to mixed, not to 'mean'"),
+        ("mixed", r"per-row method list, e\.g\. mixed:max,min,mean,mean"),
+        ("mixed:", r"unknown per-row reference method\(s\): ''"),
+        ("mixed:max,mode,max", r"unknown per-row reference method\(s\): 'mode'"),
+        ("mixed:max,min", "mixed reference lists 2 methods for 3 rows"),
+        ("", "unknown reference method ''"),
+    ])
+    def test_string_grammar_rejects(self, text, message):
+        table = sk.from_columns({"A": [1, 2, 3], "B": [3, 2, 1]})
+        with pytest.raises(SrdError, match=message):
+            sk.create_reference(table, text)
+
+    @pytest.mark.parametrize("spec", [None, 3, ("max",)])
+    def test_spec_of_another_type_rejected(self, spec):
+        table = sk.from_columns({"A": [1, 2, 3]})
+        with pytest.raises(SrdError, match="must be a string or ReferenceSpec, got"):
+            sk.create_reference(table, spec)
+
 
 class TestPreprocessingInvariance:
     def test_srd_values_unchanged_by_any_scaler(self):
