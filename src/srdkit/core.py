@@ -7,17 +7,25 @@ ranks they occupy) and each solution is scored by the L1 distance between
 its rank column and the reference rank column, optionally normalized by the
 largest distance two rankings of that size can have.
 
-Every score takes one path: one sort of the table, then int64 sums of doubled
-ranks per row set.  Whole-table scores are the set of all rows; each
-cross-validation fold is another.
+Every score takes one path: one sort of each range of solution columns, with
+the reference, then int64 sums of doubled ranks per row set.  Whole-table
+scores are the set of all rows; each cross-validation fold is another.  Large
+tables split their columns over one worker thread per usable CPU; integer
+sums make every output the same for any number of workers.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+# Cells of a table per rank-kernel worker, at least: two threads scoring a
+# table of 2**16 cells or fewer ran no faster than one.
+_CELLS_PER_WORKER = 1 << 16
 
 
 class SrdError(ValueError):
@@ -43,14 +51,55 @@ def checked_seed(seed) -> int | None:
     return None if seed is None else checked_count(seed, "seed", 0)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_workers(count: int, *steps) -> None:
+    """Run ``step(w)`` for w in range(count), each step once the last is done.
+
+    The calling thread is worker 0, so one worker starts no thread.
+    """
+    if count == 1:
+        for step in steps:
+            step(0)
+        return
+    with ThreadPoolExecutor(max_workers=count - 1) as pool:
+        for step in steps:
+            jobs = [pool.submit(step, w) for w in range(1, count)]
+            step(0)
+            for job in jobs:
+                job.result()
+
+
+class _ArrayFields:
+    """Equality for frozen dataclasses that hold arrays: equal when every field is.
+
+    Arrays compare by shape and value with ``np.array_equal``, other fields
+    with ``==``.  Such objects are unhashable, as their arrays are.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                                for f in fields(self)))
+
+
 def _check_labels(labels: tuple[str, ...], what: str) -> None:
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
         raise SrdError(f"duplicate {what} labels: {', '.join(dupes)}")
 
 
-@dataclass(frozen=True)
-class DataTable:
+@dataclass(frozen=True, eq=False)
+class DataTable(_ArrayFields):
     """Named real-valued matrix; rows are objects, columns are solutions.
 
     ``reference`` designates the reference column by label.  ``None`` means
@@ -61,6 +110,9 @@ class DataTable:
     ``values`` is stored as a read-only float64 array.  A float64 input is
     adopted, not copied: the caller's array is marked read-only too, but a
     writable view taken from it earlier can still change the table.
+
+    Two tables are equal when their values, labels and reference are; tables
+    are unhashable.
     """
 
     values: np.ndarray
@@ -153,9 +205,12 @@ def transpose(table: DataTable) -> DataTable:
     return DataTable(table.values.T.copy(), table.col_labels, table.row_labels)
 
 
-@dataclass(frozen=True)
-class RankMatrix:
-    """Column-wise fractional ranks of the solution columns of a table."""
+@dataclass(frozen=True, eq=False)
+class RankMatrix(_ArrayFields):
+    """Column-wise fractional ranks of the solution columns of a table.
+
+    Equal when ranks and labels are; unhashable.
+    """
 
     ranks: np.ndarray
     row_labels: tuple[str, ...]
@@ -170,14 +225,15 @@ class RankMatrix:
         return self.ranks.shape[1]
 
 
-@dataclass(frozen=True)
-class SrdResult:
+@dataclass(frozen=True, eq=False)
+class SrdResult(_ArrayFields):
     """Per-solution SRD scores against the reference column.
 
     ``raw_srd[j]`` is the L1 distance of solution j's rank column from the
     reference rank column; ``normalized_srd[j]`` divides it by
     ``max_srd(n_objects)``.  ``scores`` holds whichever of the two the
-    caller asked for and is what reports display.
+    caller asked for and is what reports display.  Equal when every field
+    is; unhashable.
     """
 
     col_labels: tuple[str, ...]
@@ -192,12 +248,13 @@ class SrdResult:
         return self.normalized_srd if self.normalized else self.raw_srd
 
 
-@dataclass(frozen=True)
-class SrdDetail:
+@dataclass(frozen=True, eq=False)
+class SrdDetail(_ArrayFields):
     """Step-by-step SRD computation: values, ranks, and per-row distances.
 
     ``distances[i, j]`` is ``|rank(solution j)[i] - rank(reference)[i]|``;
     summing a column gives that solution's raw SRD, stored in ``raw_srd``.
+    Equal when every field is; unhashable.
     """
 
     row_labels: tuple[str, ...]
@@ -212,33 +269,38 @@ class SrdDetail:
 
 
 class TieGroups:
-    """The one sort of a matrix's columns: ranks of any row subset and tie frequencies.
+    """One sort of a matrix's columns: ranks of any row subset and tie frequencies.
 
-    Each cell is labelled with its column's tie group.  Labels run across
-    the whole matrix, column after column and ascending by value within a
-    column, so one ``bincount`` over a set of rows counts the selected
-    members of every group of every column at once.
+    ``columns`` (a slice or a list of indices, all columns by default)
+    selects the columns sorted, in that order; a rank-kernel worker sorts
+    its own range of solution columns, with the reference last.  Each cell
+    is labelled with its column's tie group.  Labels run across the selected
+    columns, column after column and ascending by value within a column, so
+    one ``bincount`` over a set of rows counts the selected members of every
+    group of every column at once.
 
-    ``labels`` is (m, n) for an n x m matrix: one contiguous row per column,
-    so a set of rows is gathered from each column's row in one ``take``.
-    Labels and doubled ranks (at most 2n) are int32, or int64 for matrices
-    of 2^30 cells or more.  Two steps need int64: the count table, whose
+    ``labels`` is (m, n) for m selected columns of n rows: one contiguous row
+    per column, so a set of rows is gathered from each column's row in one
+    ``take``.  Labels and doubled ranks (at most 2n) are int32, or int64 for
+    2^30 selected cells or more.  Two steps need int64: the count table, whose
     running sum spans the selected rows of every column, and any sum of
     rank differences, since one column's doubled raw SRD passes 2^31 from
     46,341 rows.
     """
 
-    def __init__(self, values: np.ndarray) -> None:
-        cols = np.ascontiguousarray(values.T)
+    def __init__(self, values: np.ndarray, columns=slice(None)) -> None:
+        cols = np.ascontiguousarray(values.T[columns])
         m, n = cols.shape
         order = np.argsort(cols, axis=1)  # tied values need no stable order
         order += n * np.arange(m)[:, None]
         flat = order.ravel()
         ordered = cols.take(flat)
-        starts = np.empty(cols.size, dtype=bool)
+        del cols  # workers sort at once, so free each temporary once it is used
+        starts = np.empty(m * n, dtype=bool)
         starts[1:] = ordered[1:] != ordered[:-1]
+        del ordered
         starts[::n] = True  # each column's smallest value opens a group
-        dtype = np.int32 if 2 * cols.size < 2**31 else np.int64
+        dtype = np.int32 if 2 * m * n < 2**31 else np.int64
         labels = np.cumsum(starts, dtype=dtype)
         labels -= 1
         groups = np.empty_like(labels)
@@ -304,18 +366,40 @@ def _reference_split(table: DataTable) -> tuple[int, list[int]]:
     return ref, [j for j in range(table.n_cols) if j != ref]
 
 
+def _column_ranges(table: DataTable, columns: int) -> list[slice]:
+    """``columns`` split into one contiguous range per rank-kernel worker.
+
+    There is one worker per usable CPU, but no more than ``columns`` and no
+    more than one per ``_CELLS_PER_WORKER`` cells of the table; at least one.
+    """
+    workers = max(1, min(_usable_cpus(), columns, table.values.size // _CELLS_PER_WORKER))
+    bounds = [columns * w // workers for w in range(workers + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _srd_units(table: DataTable, folds=(None,)) -> tuple[np.ndarray, list[int]]:
     """Doubled raw SRD per row set and solution, and the solutions' column indices.
 
     Each of ``folds`` is an intp array of rows, ranked among themselves, or
     None for all rows.  Doubling makes every rank, so every sum, an integer.
+    Each worker sorts one range of solutions with the reference and scores
+    that range on every row set; integer sums make the result the same for
+    any number of workers.
     """
     ref, sol = _reference_split(table)
-    groups = TieGroups(table.values)
     units = np.empty((len(folds), len(sol)), dtype=np.int64)
-    for i, rows in enumerate(folds):
-        ranks = groups.doubled_ranks(rows)
-        units[i] = np.abs(ranks - ranks[ref]).sum(axis=1, dtype=np.int64)[sol]
+    parts = _column_ranges(table, len(sol))
+
+    def score(w: int) -> None:
+        part = parts[w]
+        groups = TieGroups(table.values, sol[part] + [ref])
+        for i, rows in enumerate(folds):
+            ranks = groups.doubled_ranks(rows)
+            diffs = ranks[:-1]
+            diffs -= ranks[-1]
+            np.abs(diffs, out=diffs).sum(axis=1, dtype=np.int64, out=units[i, part])
+
+    _in_workers(len(parts), score)
     return units, sol
 
 
@@ -361,18 +445,33 @@ def detailed_srd(table: DataTable) -> SrdDetail:
     reference, together with the per-solution raw SRD totals.
     """
     ref, sol = _reference_split(table)
-    doubled = TieGroups(table.values).doubled_ranks()
-    units = np.abs(doubled[sol] - doubled[ref])
+    ranks = np.empty((len(sol) + 1, table.n_rows))  # the reference's last
+    distances = np.empty((len(sol), table.n_rows))
+    raw = np.empty(len(sol))
+    parts = _column_ranges(table, len(sol))
+
+    def detail(w: int) -> None:
+        part = parts[w]
+        doubled = TieGroups(table.values, sol[part] + [ref]).doubled_ranks()
+        np.divide(doubled[:-1], 2, out=ranks[part])
+        if w == 0:
+            np.divide(doubled[-1], 2, out=ranks[-1])
+        units = doubled[:-1]
+        units -= doubled[-1]
+        np.divide(np.abs(units, out=units), 2, out=distances[part])
+        np.divide(units.sum(axis=1, dtype=np.int64), 2, out=raw[part])
+
+    _in_workers(len(parts), detail)
     return SrdDetail(
         row_labels=table.row_labels,
         solution_labels=tuple(table.col_labels[j] for j in sol),
         reference_label=table.reference_label,
         solution_values=table.values[:, sol],
-        solution_ranks=doubled[sol].T / 2,
-        distances=units.T / 2,
+        solution_ranks=ranks[:-1].T,
+        distances=distances.T,
         reference_values=table.values[:, ref],
-        reference_ranks=doubled[ref] / 2,
-        raw_srd=units.sum(axis=1, dtype=np.int64) / 2,
+        reference_ranks=ranks[-1],
+        raw_srd=raw,
     )
 
 

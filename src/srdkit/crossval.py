@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import DataTable, SrdError, _srd_units, checked_count, checked_seed, max_srd
+from .core import (DataTable, SrdError, _ArrayFields, _srd_units, checked_count, checked_seed,
+                   max_srd)
 
 TESTS = ("wilcoxon", "dietterich", "alpaydin")
 FOLD_KINDS = ("subsample", "half_split")
@@ -103,7 +104,7 @@ def _checked_fold(fold) -> np.ndarray:
         raise SrdError("fold indices must be integers")
     if arr.size < 2:
         raise SrdError("every fold must retain at least 2 rows")
-    ordered = np.sort(arr)
+    ordered = arr if (arr[1:] > arr[:-1]).all() else np.sort(arr)  # drawn folds are sorted
     if ordered[0] < 0 or (ordered[1:] == ordered[:-1]).any():
         raise SrdError("fold indices must be unique and nonnegative")
     if int(ordered[-1]) > np.iinfo(np.intp).max:
@@ -117,12 +118,21 @@ def _check_half_splits(folds) -> None:
     """Each replication's two halves are disjoint and cover one common row set."""
     if len(folds) % 2:
         raise SrdError("half-split folds come in pairs; got an odd fold count")
-    covered = np.sort(np.concatenate(folds[:2]))
+    top = max(int(fold.max()) for fold in folds) + 1
+    if top > 2 * sum(fold.size for fold in folds):  # sparse rows: number the used ones
+        used = np.unique(np.concatenate(folds))
+        folds = [np.searchsorted(used, fold) for fold in folds]
+        top = used.size
+    covered = None
     for i in range(0, len(folds), 2):
-        rows = np.sort(np.concatenate(folds[i:i + 2]))
-        if (rows[1:] == rows[:-1]).any():
+        rows = np.zeros(top, dtype=bool)
+        rows[folds[i]] = True
+        if rows[folds[i + 1]].any():
             raise SrdError(f"half-split folds {i + 1} and {i + 2} share a row")
-        if not np.array_equal(rows, covered):
+        rows[folds[i + 1]] = True
+        if covered is None:
+            covered = rows
+        elif not np.array_equal(rows, covered):
             raise SrdError(f"half-split folds {i + 1} and {i + 2} cover other rows "
                            f"than folds 1 and 2")
 
@@ -136,15 +146,15 @@ class PairTestResult:
     category: str
 
 
-@dataclass(frozen=True)
-class CrossValReport:
+@dataclass(frozen=True, eq=False)
+class CrossValReport(_ArrayFields):
     """Fold-wise SRD scores with ordering and pairwise test results.
 
     ``fold_srd`` and ``box_summary`` keep the original solution order;
     ``column_order`` lists 0-based solution indices sorted by ascending
     median fold score (report files print them 1-based).  ``pair_results``
     has one entry per adjacent pair in that order.  ``box_summary`` rows
-    follow ``BOX_ROWS``.
+    follow ``BOX_ROWS``.  Equal when every field is; unhashable.
     """
 
     fold_srd: np.ndarray

@@ -14,14 +14,14 @@ import enum
 import itertools
 import math
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataTable, SrdError, TieGroups, _reference_split, checked_count,
-                   checked_probability, checked_seed, fractional_ranks, max_srd)
+from .core import (DataTable, SrdError, TieGroups, _ArrayFields, _reference_split,
+                   _usable_cpus, checked_count, checked_probability, checked_seed,
+                   fractional_ranks, max_srd)
 
 OPTIONS = ("n", "r", "t", "p", "d", "f")
 
@@ -62,13 +62,14 @@ class Thresholds:
     std_dev: float
 
 
-@dataclass(frozen=True)
-class SrdDistribution:
+@dataclass(frozen=True, eq=False)
+class SrdDistribution(_ArrayFields):
     """Attainable normalized SRD values with their relative frequencies.
 
     ``support`` is strictly increasing and every entry is a multiple of
     0.5/max_srd(n_objects).  ``sample_count`` holds the Monte-Carlo sample
-    size, or the number of enumerated permutations when ``exact``.
+    size, or the number of enumerated permutations when ``exact``.  Equal
+    when every field is; unhashable.
     """
 
     support: np.ndarray
@@ -434,10 +435,7 @@ def generate_distribution(table: DataTable, option: str = "f",
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     chunks = [(min(_CHUNK, samples - i * _CHUNK), children[i]) for i in range(n_chunks)]
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     blocks = -(-min(samples, _CHUNK) * n // _BLOCK)  # in the largest sub-stream
     counts = _chunk_counts(option, n, chunks, ref2, tie_probs, n_bins,
                            min(workers or cpus, cpus, blocks))

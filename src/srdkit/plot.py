@@ -13,7 +13,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .core import DataTable, SrdError, SrdResult, TieGroups, max_srd
+from .core import (DataTable, SrdError, SrdResult, TieGroups, _ArrayFields, _column_ranges,
+                   _in_workers, max_srd)
 from .crossval import BOX_ROWS, CATEGORY_NONE, CrossValReport
 from .distribution import SrdDistribution
 from .tableio import delimited, grid
@@ -55,9 +56,12 @@ class Palette:
 DEFAULT_PALETTE = Palette(DEFAULT_PALETTE_COLORS)
 
 
-@dataclass(frozen=True)
-class PairwiseMatrix:
-    """Symmetric normalized SRD distances between all columns of a table."""
+@dataclass(frozen=True, eq=False)
+class PairwiseMatrix(_ArrayFields):
+    """Symmetric normalized SRD distances between all columns of a table.
+
+    Equal when labels and distances are; unhashable.
+    """
 
     labels: tuple[str, ...]
     values: np.ndarray
@@ -86,7 +90,10 @@ def pairwise_srd(table: DataTable) -> PairwiseMatrix:
 
     Column j serves as the reference for entry (i, j); any designated
     reference column participates like an ordinary column.  The result is
-    symmetric with a zero diagonal.
+    symmetric with a zero diagonal.  Each rank-kernel worker sorts one range
+    of columns into a shared matrix of doubled ranks, then takes every
+    workers-th row of the triangle; integer sums make the result the same for
+    any number of workers.
     """
     if table.n_cols < 2:
         raise SrdError("pairwise distances need at least two columns")
@@ -94,17 +101,28 @@ def pairwise_srd(table: DataTable) -> PairwiseMatrix:
     # column; the narrowest dtype keeps the m^2 / 2 column differences exact
     # and cheap.  Below 2n = 2^15, int16 holds them and int32 their n-term sums.
     narrow = 2 * table.n_rows < 2**15
-    doubled = TieGroups(table.values).doubled_ranks().astype(np.int16 if narrow else np.int32)
+    m, n = table.n_cols, table.n_rows
+    doubled = np.empty((m, n), dtype=np.int16 if narrow else np.int32)
     total = np.int32 if narrow else np.int64
-    f2 = 2 * max_srd(table.n_rows)
-    m = table.n_cols
+    f2 = 2 * max_srd(n)
     values = np.zeros((m, m))
-    # n = 1 gives f2 = 0, but then every distance is 0 as well.  Integer sums
-    # make both triangles, filled from one row, exactly equal.
-    for i in range(m - 1 if f2 else 0):
-        d = np.abs(doubled[i + 1:] - doubled[i]).sum(axis=1, dtype=total) / f2
-        values[i, i + 1:] = d
-        values[i + 1:, i] = d
+    parts = _column_ranges(table, m)
+    workers = len(parts)
+
+    def rank(w: int) -> None:
+        doubled[parts[w]] = TieGroups(table.values, parts[w]).doubled_ranks()
+
+    def distances(w: int) -> None:
+        # n = 1 gives f2 = 0, but then every distance is 0 as well.  Integer
+        # sums make both triangles, filled from one row, exactly equal.
+        diffs = np.empty((m - 1, n), dtype=doubled.dtype)
+        for i in range(w, m - 1 if f2 else 0, workers):
+            d = np.subtract(doubled[i + 1:], doubled[i], out=diffs[:m - 1 - i])
+            d = np.abs(d, out=d).sum(axis=1, dtype=total) / f2
+            values[i, i + 1:] = d
+            values[i + 1:, i] = d
+
+    _in_workers(workers, rank, distances)
     return PairwiseMatrix(table.col_labels, values)
 
 

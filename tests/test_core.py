@@ -1,10 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 import srdkit as sk
-from srdkit import SrdError
+from srdkit import SrdError, core
 
 
 class TestFractionalRanks:
@@ -260,3 +261,62 @@ class TestTieProbability:
         assert probs.shape == (bundesliga.n_cols,)
         for j in range(bundesliga.n_cols):
             assert probs[j] == sk.tie_probability(bundesliga.values[:, j])
+
+
+# Per result type: a builder of a fresh object, an array field, and a change
+# to its last cell that keeps the object valid.
+_VALUE_CASES = {
+    "DataTable": (sk.load_bundesliga, "values", 1.0),
+    "RankMatrix": (lambda: sk.rank_matrix(sk.load_bundesliga()), "ranks", 0.5),
+    "SrdResult": (lambda: sk.srd_values(sk.load_mep()), "raw_srd", 1.0),
+    "SrdDetail": (lambda: sk.detailed_srd(sk.load_mep()), "distances", 0.5),
+    "CrossValReport": (lambda: sk.cross_validate(sk.load_bundesliga(), seed=3),
+                       "fold_srd", 0.25),
+    "SrdDistribution": (lambda: sk.exact_distribution(4), "support", 1 / 16),
+    "PairwiseMatrix": (lambda: sk.pairwise_srd(sk.load_mep()), "values", 0.125),
+}
+
+
+@pytest.mark.parametrize("build, field, step", _VALUE_CASES.values(), ids=list(_VALUE_CASES))
+def test_results_are_equal_by_value_and_unhashable(build, field, step):
+    first, again = build(), build()
+    assert first == again and not first != again
+    assert first != "something else"
+    changed = np.array(getattr(first, field))
+    changed.flat[-1] += step
+    assert dataclasses.replace(first, **{field: changed}) != first
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)
+
+
+class TestRankWorkers:
+    @pytest.mark.parametrize("shape, cpus, expected", [
+        ((2000, 200), 2, [(0, 99), (99, 199)]),  # one range per usable CPU
+        ((100_000, 3), 8, [(0, 1), (1, 2)]),  # no more than the solution columns
+        ((2**15, 9), 8, [(0, 2), (2, 4), (4, 6), (6, 8)]),  # one per 2**16 cells
+        ((2**15, 3), 8, [(0, 2)]),
+        ((18, 8), 8, [(0, 7)]),
+    ])
+    def test_solution_columns_split_by_cpus_columns_and_cells(self, monkeypatch, shape,
+                                                              cpus, expected):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        table = sk.DataTable(np.zeros(shape), tuple(map(str, range(shape[0]))),
+                             tuple(map(str, range(shape[1]))))
+        ranges = core._column_ranges(table, shape[1] - 1)
+        assert [(part.start, part.stop) for part in ranges] == expected
+
+    def test_bundled_tables_start_no_thread(self, monkeypatch, bundesliga, mep):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", refuse)
+        for table in (bundesliga, mep):
+            sk.srd_values(table)
+            sk.detailed_srd(table)
+            sk.rank_matrix(table)
+            sk.pairwise_srd(table)
+            for test in ("wilcoxon", "alpaydin"):
+                report = sk.cross_validate(table, test, seed=1)
+                sk.crossval_srd(table, report.scheme)

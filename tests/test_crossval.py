@@ -83,6 +83,11 @@ class TestMakeFolds:
         with pytest.raises(SrdError):
             sk.FoldScheme("subsample", ((0, 1),), 2)
 
+    @pytest.mark.parametrize("fold", [(2, 0, 2), (3, -1, 4), (1, 0, 1, 2)])
+    def test_unsorted_folds_are_checked_like_sorted_ones(self, fold):
+        with pytest.raises(SrdError, match="fold indices must be unique and nonnegative"):
+            sk.FoldScheme("subsample", (fold,), 1)
+
     @pytest.mark.parametrize("fold", [(0, 1, 2.5), (0.0, 1.0), ("0", "1"), (True, False),
                                       ([0, 1], [2]), 5])
     def test_scheme_rejects_non_integer_indices(self, fold):
@@ -103,6 +108,8 @@ class TestMakeFolds:
         (((0, 1, 2), (2, 3)), "folds 1 and 2 share a row"),
         (((0, 1), (2, 3), (0, 2), (1, 4)), "folds 3 and 4 cover other rows"),
         (((0, 1), (2, 3), (0, 2), (1, 3), (0, 1), (2, 4)), "folds 5 and 6 cover other rows"),
+        (((0, 2**40), (2**40, 3)), "folds 1 and 2 share a row"),
+        (((0, 2**40), (2, 3), (0, 2), (3, 2**41)), "folds 3 and 4 cover other rows"),
     ])
     def test_half_splits_must_be_complementary(self, folds, message):
         with pytest.raises(SrdError, match=message):
@@ -111,6 +118,10 @@ class TestMakeFolds:
     def test_half_splits_of_unequal_halves_are_accepted(self):
         scheme = sk.FoldScheme("half_split", ((4, 0, 2), (1, 3), (1, 2), (0, 3, 4)), 4)
         assert scheme.folds[0] == (4, 0, 2)
+
+    def test_sparse_half_splits_are_accepted(self):
+        folds = ((2**40, 0, 2), (1, 2**62), (1, 2), (0, 2**62, 2**40))
+        assert sk.FoldScheme("half_split", folds, 4).folds == folds
 
     def test_drawn_schemes_pass_validation(self):
         for kind in ("subsample", "half_split"):

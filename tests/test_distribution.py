@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import srdkit as sk
-from srdkit import SrdError, distribution
+from srdkit import SrdError, core, distribution
 from srdkit.core import max_srd
 
 
@@ -115,7 +115,7 @@ class TestGenerateDistribution:
         assert a.thresholds == b.thresholds
 
     def test_worker_count_does_not_change_the_result(self, bundesliga, monkeypatch):
-        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: set(range(8)),
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
         base = sk.generate_distribution(bundesliga, option="f",
                                         samples=150_000, seed=10, workers=1)
@@ -133,7 +133,7 @@ class TestGenerateDistribution:
         real = distribution._Block
         monkeypatch.setattr(distribution, "_Block",
                             lambda *args: built.append(args) or real(*args))
-        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: set(range(8)),
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
         for samples, workers, expected in ((150_000, 1, 1), (150_000, 2, 2),
                                            (150_000, 8, 8), (3_000, 8, 1)):
@@ -152,8 +152,8 @@ class TestGenerateDistribution:
         real = distribution._Block
         monkeypatch.setattr(distribution, "_Block",
                             lambda *args: built.append(args) or real(*args))
-        monkeypatch.delattr(distribution.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(distribution.os, "cpu_count", lambda: cpus)
+        monkeypatch.delattr(core.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(core.os, "cpu_count", lambda: cpus)
         dist = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10)
         assert len(built) == expected
         base = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10,
@@ -175,9 +175,9 @@ class TestGenerateDistribution:
                 return super().submit(*args)
 
         monkeypatch.setattr(distribution, "_BLOCK", 64)
-        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: {0, 1},
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        monkeypatch.setattr(distribution.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(distribution, "ThreadPoolExecutor", Recorder)
         kwargs = dict(option="f", samples=70_000, seed=10)
         base = sk.generate_distribution(bundesliga, workers=1, **kwargs)
@@ -202,7 +202,7 @@ class TestGenerateDistribution:
             real(block, gens, first, stride, *args)
 
         monkeypatch.setattr(distribution, "_stripe", record)
-        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: set(range(8)),
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
         for workers in (1, 2, 3):
             stripes.clear()
@@ -306,7 +306,7 @@ class TestGenerateDistribution:
     def test_traced_peak_repeats_with_two_workers(self, bundesliga, mep, monkeypatch):
         # Worker threads allocate nothing per block, so the way two workers'
         # blocks overlap in time cannot move a call's allocation peak.
-        monkeypatch.setattr(distribution.os, "sched_getaffinity", lambda pid: {0, 1},
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         for table, option, tie_prob in ((bundesliga, "f", None), (mep, "d", None),
                                         (_pair_table(120), "t", 0.2)):

@@ -1,12 +1,14 @@
 """Property tests: the rank-once kernel against per-column ranking and a
-sorted tie count, the integer pair tests against the Fraction ones they
-replaced, the blocked integer CRRN sampler against the float generators it
-replaced, and the exact CRRN sweep against brute-force enumeration and
-closed forms."""
+sorted tie count, its worker threads against one worker, the integer pair
+tests against the Fraction ones they replaced, the blocked integer CRRN
+sampler against the float generators it replaced, and the exact CRRN sweep
+against brute-force enumeration and closed forms."""
 
 import copy
+import dataclasses
 import itertools
 import math
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -20,9 +22,10 @@ from scipy.stats import rankdata
 from scipy.stats import t as t_distribution
 
 import srdkit as sk
-from srdkit import crossval, distribution
+from srdkit import core, crossval, distribution
 from srdkit.core import TieGroups
 from srdkit.crossval import _fold_raw_units
+from srdkit.tableio import render_crossval_report
 
 # Few distinct values, so most columns carry ties; -0.0 ties with 0.0.
 _CELLS = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.25])
@@ -151,6 +154,58 @@ def test_pairwise_is_exactly_symmetric_with_zero_diagonal(table):
     assert np.array_equal(values, values.T)
     assert np.all(values.diagonal() == 0)
     assert np.all((values >= 0) & (values <= 1))
+
+
+def _bits(value):
+    """A result with every array as its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_bits, value))
+    return value
+
+
+def _kernel_outputs(table, test, seed):
+    outputs = [sk.srd_values(table), sk.detailed_srd(table), sk.pairwise_srd(table)]
+    if table.n_rows >= 2:
+        everything = sk.FoldScheme("subsample", [range(table.n_rows)], 1)
+        outputs.append(sk.crossval_srd(table, everything))
+    if table.n_rows >= 5:
+        try:
+            report = sk.cross_validate(table, test, k=5 if test == "wilcoxon" else 4, seed=seed)
+        except sk.SrdError as exc:  # no spread within replications
+            outputs.append(str(exc))
+        else:
+            outputs += [report, sk.crossval_srd(table, report.scheme),
+                        render_crossval_report(report)]
+    return _bits(outputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(min_rows=1, max_rows=30), st.sampled_from(crossval.TESTS),
+       st.integers(0, 2**32))
+def test_rank_kernel_outputs_are_the_same_for_any_worker_count(table, test, seed):
+    # With one worker per cell, every call with two or more usable CPUs splits
+    # its columns; a table of two columns has fewer solutions than workers.
+    threads = set()
+    build = TieGroups.__init__
+
+    def record(self, *args, **kwargs):
+        threads.add(threading.get_ident())
+        build(self, *args, **kwargs)
+
+    outputs = []
+    with mock.patch.object(core, "_CELLS_PER_WORKER", 1), \
+            mock.patch.object(TieGroups, "__init__", record):
+        for cpus in (1, 2, 3, 4):
+            threads.clear()
+            with mock.patch.object(core.os, "sched_getaffinity", create=True,
+                                   new=lambda pid, cpus=cpus: set(range(cpus))):
+                outputs.append(_kernel_outputs(table, test, seed))
+            assert (len(threads) > 1) == (cpus > 1)  # pairwise_srd splits every table
+    assert outputs[1:] == outputs[:1] * 3
 
 
 # -- pair tests ----------------------------------------------------------------
@@ -471,7 +526,7 @@ def _check_against_oracle(table, option, tie_prob, samples, seed, workers):
     tie_prob = tie_prob if option in ("t", "p") else None
     # As many usable CPUs as workers, so that each worker count stripes the
     # blocks its own way, whatever the host.
-    with mock.patch.object(distribution.os, "sched_getaffinity", create=True,
+    with mock.patch.object(core.os, "sched_getaffinity", create=True,
                            new=lambda pid: set(range(workers))):
         dist = sk.generate_distribution(table, option, tie_prob=tie_prob,
                                         samples=samples, seed=seed, workers=workers)
