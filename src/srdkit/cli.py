@@ -181,8 +181,7 @@ def _cmd_crrn(args):
     table = _load_table(args)
     result = srd_values(table)
     dist = generate_distribution(table, option=args.option, tie_prob=args.tie_prob,
-                                 samples=args.samples, seed=args.seed,
-                                 workers=args.workers)
+                                 samples=args.samples, seed=args.seed)
     print(render_distribution(dist), end="")
     print("\nverdicts")
     for label, score in zip(result.col_labels, result.normalized_srd):
@@ -219,9 +218,7 @@ def _cmd_crossval(args):
 def _cmd_heatmap(args):
     table = _load_table(args, with_reference=False)
     matrix = plotmod.pairwise_srd(table)
-    palette = plotmod.DEFAULT_PALETTE
-    if args.palette:
-        palette = plotmod.Palette(tuple(args.palette.split(",")))
+    palette = plotmod.Palette(tuple(args.palette.split(","))) if args.palette else None
     doc = plotmod.plot_heatmap(matrix, palette)
     print(doc.data, end="")
     if not args.no_save:
@@ -274,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="tie probability for options t and p")
     sub.add_argument("--samples", type=int, default=1_000_000)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None,
-                     help="threads that draw the samples (default: one per usable "
-                          "CPU); seeded results do not depend on it")
     sub.add_argument("--plot", action="store_true", help="also emit the chart")
     sub.add_argument("--cdf", action="store_true",
                      help="overlay the cumulative curve instead of the density")

@@ -51,17 +51,23 @@ def checked_seed(seed) -> int | None:
     return None if seed is None else checked_count(seed, "seed", 0)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS keeps one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _worker_count(parts: int) -> int:
+    """The library's one worker rule: a thread per usable CPU, at most ``parts``, at least 1.
+
+    Usable CPUs are the affinity set where the OS keeps one, else
+    ``os.cpu_count()``; ``taskset`` is the control, and there is no setting.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, parts))
 
 
-def _in_workers(count: int, *steps) -> None:
-    """Run ``step(w)`` for w in range(count), each step once the last is done.
+def _in_workers(count: int, steps) -> None:
+    """Run ``step(w)`` for w in range(count) for each step of ``steps``, in turn.
 
-    The calling thread is worker 0, so one worker starts no thread.
+    ``steps`` is read lazily, each step once every worker is done with the
+    last, so a generator can prepare each step and use its results on the
+    calling thread.  The calling thread is worker 0, so one worker starts no
+    thread; this is the library's only thread pool.
     """
     if count == 1:
         for step in steps:
@@ -369,10 +375,10 @@ def _reference_split(table: DataTable) -> tuple[int, list[int]]:
 def _column_ranges(table: DataTable, columns: int) -> list[slice]:
     """``columns`` split into one contiguous range per rank-kernel worker.
 
-    There is one worker per usable CPU, but no more than ``columns`` and no
-    more than one per ``_CELLS_PER_WORKER`` cells of the table; at least one.
+    ``_worker_count`` gives the workers, no more than ``columns`` and no more
+    than one per ``_CELLS_PER_WORKER`` cells of the table.
     """
-    workers = max(1, min(_usable_cpus(), columns, table.values.size // _CELLS_PER_WORKER))
+    workers = _worker_count(min(columns, table.values.size // _CELLS_PER_WORKER))
     bounds = [columns * w // workers for w in range(workers + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -399,7 +405,7 @@ def _srd_units(table: DataTable, folds=(None,)) -> tuple[np.ndarray, list[int]]:
             diffs -= ranks[-1]
             np.abs(diffs, out=diffs).sum(axis=1, dtype=np.int64, out=units[i, part])
 
-    _in_workers(len(parts), score)
+    _in_workers(len(parts), [score])
     return units, sol
 
 
@@ -461,7 +467,7 @@ def detailed_srd(table: DataTable) -> SrdDetail:
         np.divide(np.abs(units, out=units), 2, out=distances[part])
         np.divide(units.sum(axis=1, dtype=np.int64), 2, out=raw[part])
 
-    _in_workers(len(parts), detail)
+    _in_workers(len(parts), [detail])
     return SrdDetail(
         row_labels=table.row_labels,
         solution_labels=tuple(table.col_labels[j] for j in sol),

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ class FoldScheme:
         if kind not in FOLD_KINDS:
             raise SrdError(f"unknown fold kind {kind!r}")
         k, seed = checked_count(k, "fold count", 1), checked_seed(seed)
+        if not isinstance(folds, Iterable):
+            raise SrdError(f"folds must be a sequence of row-index sequences, got {folds!r}")
         rows = tuple(_checked_fold(fold) for fold in folds)
         if len(rows) != k:
             raise SrdError(f"expected {k} folds, got {len(rows)}")
@@ -237,11 +240,16 @@ def _over_one_denominator(values) -> tuple[list[int], int]:
     """Fractions, integers or floats as numerators over their lcm denominator."""
     if isinstance(values, _Scaled):
         return values, values.denominator
-    try:
-        ratios = [(int(x.numerator), int(x.denominator)) if isinstance(x, numbers.Rational)
-                  else float(x).as_integer_ratio() for x in values]
-    except (OverflowError, ValueError):
-        raise SrdError("fold scores must be finite numbers") from None
+    if not isinstance(values, Iterable):
+        raise SrdError(f"fold scores must be rows of numbers, got {values!r}")
+    ratios = []
+    for x in values:
+        if isinstance(x, numbers.Rational):
+            ratios.append((int(x.numerator), int(x.denominator)))
+        elif isinstance(x, numbers.Real) and math.isfinite(real := float(x)):
+            ratios.append(real.as_integer_ratio())
+        else:
+            raise SrdError(f"fold scores must be finite real numbers, got {x!r}")
     common = math.lcm(*(q for _, q in ratios))
     return [p * (common // q) for p, q in ratios], common
 
@@ -339,7 +347,10 @@ def dietterich_pair_test(a, b) -> PairTestResult:
         raise SrdError("degenerate variance: no spread within replications")
     # Unlike W and F, t is not scale-free in floating point: round the first
     # difference and the pooled spread to floats before combining them.
-    t_stat = (d[0] / common) / math.sqrt(spread / (2 * common * common) / r)
+    try:
+        t_stat = (d[0] / common) / math.sqrt(spread / (2 * common * common) / r)
+    except (OverflowError, ZeroDivisionError):  # a float overflows or the spread underflows
+        raise SrdError("the paired t statistic is beyond the float range") from None
     # scipy.stats.t.sf(x, r) is stdtr(r, -x); the call skips its argument checks.
     p = 2.0 * float(special.stdtr(r, -abs(t_stat)))
     return PairTestResult(t_stat, p, _category(p))
@@ -357,7 +368,10 @@ def alpaydin_pair_test(a, b) -> PairTestResult:
     spread = _replication_spread(d)
     if spread == 0:
         raise SrdError("degenerate variance: no spread within replications")
-    f_stat = sum(x * x for x in d) / spread
+    try:
+        f_stat = sum(x * x for x in d) / spread
+    except OverflowError:
+        raise SrdError("the paired F statistic is beyond the float range") from None
     # scipy.stats.f.sf(x, 2r, r) is fdtrc(2r, r, x) for x > 0, as here.
     p = float(special.fdtrc(2 * r, r, f_stat))
     return PairTestResult(f_stat, p, _category(p))
@@ -381,11 +395,16 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
     """
     if test not in TESTS:
         raise SrdError(f"unknown test {test!r}; expected one of {', '.join(TESTS)}")
+    if not isinstance(fold_srd, Iterable):
+        raise SrdError(f"fold scores must be rows of numbers, got {fold_srd!r}")
     rows = [_over_one_denominator(row) for row in fold_srd]
     common = math.lcm(*(q for _, q in rows))
     exact = [[x * (common // q) for x in row] for row, q in rows]
     if not exact or not exact[0]:
         raise SrdError("fold matrix must not be empty")
+    if scheme is not None and scheme.k != len(exact):
+        raise SrdError(f"the scheme has {scheme.k} folds, but the fold matrix has "
+                       f"{len(exact)} rows")
     if any(len(row) != len(exact[0]) for row in exact):
         raise SrdError("fold matrix rows must have equal length")
     m = len(exact[0])

@@ -14,14 +14,13 @@ import enum
 import itertools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataTable, SrdError, TieGroups, _ArrayFields, _reference_split,
-                   _usable_cpus, checked_count, checked_probability, checked_seed,
-                   fractional_ranks, max_srd)
+from .core import (DataTable, SrdError, TieGroups, _ArrayFields, _in_workers,
+                   _reference_split, _worker_count, checked_count, checked_probability,
+                   checked_seed, fractional_ranks, max_srd)
 
 OPTIONS = ("n", "r", "t", "p", "d", "f")
 
@@ -332,8 +331,9 @@ def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.n
     largest sub-stream about evenly over them.  A sub-stream's last block is
     drawn whole and only its leading rows are counted: a row's draws sit at
     the same place whatever the block size.  Worker w (the calling thread is
-    worker 0) draws blocks w, w + workers, ... of every sub-stream, and the
-    calling thread counts its values once all workers are done with it.
+    worker 0) draws blocks w, w + workers, ... of every sub-stream.  The
+    calling thread seeds each sub-stream and counts its values once all
+    workers are done with it.
     """
     tied = option not in ("n", "r")
     two = option in ("r", "t")  # two drawn rankings per sample
@@ -348,7 +348,8 @@ def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.n
     # Per worker and phase, one generator; each block sets its state.
     gens = [[np.random.Generator(np.random.PCG64(0)) for _ in widths] for _ in range(workers)]
     counts = np.zeros(n_bins, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+
+    def sub_streams():
         for size, seed_seq in chunks:
             rng = np.random.default_rng(seed_seq)
             if option == "d":  # the donor column of each sample
@@ -357,22 +358,18 @@ def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.n
                 probs = float(tie_probs[0]) if tied else None
             phases = [(size * start, step * width)
                       for start, width in zip(itertools.accumulate([0] + widths), widths)]
-            own = sums[:-(-size // step)]  # the sub-stream's blocks
-            args = (workers, rng.bit_generator.state, phases, probs, own)
-            others = [pool.submit(_stripe, blocks[w], gens[w], w, *args)
-                      for w in range(1, min(workers, len(own)))]
-            _stripe(blocks[0], gens[0], 0, *args)
-            for job in others:
-                job.result()
-            counts += np.bincount(sums.reshape(-1)[:size], minlength=n_bins)
+            args = (workers, rng.bit_generator.state, phases, probs, sums[:-(-size // step)])
+            yield lambda w: _stripe(blocks[w], gens[w], w, *args)
+            np.add(counts, np.bincount(sums.reshape(-1)[:size], minlength=n_bins), out=counts)
+
+    _in_workers(workers, sub_streams())
     return counts
 
 
 def generate_distribution(table: DataTable, option: str = "f",
                           tie_prob: float | None = None,
                           samples: int = 1_000_000,
-                          seed: int | None = None,
-                          workers: int | None = None) -> SrdDistribution:
+                          seed: int | None = None) -> SrdDistribution:
     """Simulate the null distribution of normalized SRD scores.
 
     Option semantics:
@@ -388,16 +385,12 @@ def generate_distribution(table: DataTable, option: str = "f",
     The run is split into sub-streams of 65,536 samples seeded from
     ``seed``, and each sub-stream into row blocks of one size per call, at
     most 65,536 values over all workers together, so working memory stays
-    at a few MB and does not grow with n up to 65,536.  A sub-stream's last
-    block is drawn whole and only its leading rows are counted, and each
-    block's draws are found from its index.  ``workers`` threads (by default
-    one per usable CPU, and never more than the usable CPUs or the blocks
-    of a sub-stream) draw the blocks of each sub-stream in turn, so a call
-    whose sub-streams fit in one block starts no thread.  Neither blocks nor
-    workers change the draws, so seeded results are bit-identical for any
-    ``workers`` count and to those of earlier versions.  ``samples`` must be
-    a positive integer, ``tie_prob`` a real number in [0, 1], ``workers``
-    None or a positive integer, ``seed`` None or a nonnegative integer.
+    at a few MB and does not grow with n up to 65,536.  One worker thread per
+    usable CPU, but no more than the blocks of a sub-stream, shares the
+    blocks.  Neither blocks nor workers change the draws, so seeded results
+    are bit-identical on any number of CPUs and to those of earlier versions.
+    ``samples`` must be a positive integer, ``tie_prob`` a real number in
+    [0, 1], ``seed`` None or a nonnegative integer.
     """
     if option not in OPTIONS:
         raise SrdError(f"unknown distribution option {option!r}")
@@ -411,8 +404,6 @@ def generate_distribution(table: DataTable, option: str = "f",
     if n < 2:
         raise SrdError("distribution generation needs at least two rows")
     samples = checked_count(samples, "sample count")
-    if workers is not None:
-        workers = checked_count(workers, "worker count")
     seed = checked_seed(seed)
 
     ref = table.col_labels.index(table.reference_label)
@@ -435,10 +426,8 @@ def generate_distribution(table: DataTable, option: str = "f",
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     chunks = [(min(_CHUNK, samples - i * _CHUNK), children[i]) for i in range(n_chunks)]
-    cpus = _usable_cpus()
     blocks = -(-min(samples, _CHUNK) * n // _BLOCK)  # in the largest sub-stream
-    counts = _chunk_counts(option, n, chunks, ref2, tie_probs, n_bins,
-                           min(workers or cpus, cpus, blocks))
+    counts = _chunk_counts(option, n, chunks, ref2, tie_probs, n_bins, _worker_count(blocks))
 
     return _build_distribution(counts, samples, f, option=option, n_objects=n,
                                seed=seed, tie_prob=tie_prob, exact=False)
@@ -535,7 +524,10 @@ def classify(normalized_srd: float, thresholds: Thresholds) -> CrrnVerdict:
 
     Comparisons are inclusive: a value exactly on XX1 counts as
     significantly similar, and exactly on XX19 as significantly dissimilar.
+    A score that is not a finite real number is rejected.
     """
+    if not isinstance(normalized_srd, numbers.Real) or not math.isfinite(normalized_srd):
+        raise SrdError(f"normalized SRD must be a finite real number, got {normalized_srd!r}")
     if normalized_srd <= thresholds.xx1:
         return CrrnVerdict.SIGNIFICANT_SIMILAR
     if normalized_srd >= thresholds.xx19:

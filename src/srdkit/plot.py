@@ -122,7 +122,7 @@ def pairwise_srd(table: DataTable) -> PairwiseMatrix:
             values[i, i + 1:] = d
             values[i + 1:, i] = d
 
-    _in_workers(workers, rank, distances)
+    _in_workers(workers, (rank, distances))
     return PairwiseMatrix(table.col_labels, values)
 
 

@@ -8,7 +8,7 @@ compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,12 +98,8 @@ def preprocess_table(table: DataTable, method: str) -> DataTable:
             f"unknown preprocessing method {method!r}; "
             f"expected one of {', '.join(PREPROCESS_METHODS)}"
         ) from None
-    cols = [
-        scaler(table.values[:, j], table.col_labels[j]) for j in range(table.n_cols)
-    ]
-    return DataTable(
-        np.column_stack(cols), table.row_labels, table.col_labels, table.reference
-    )
+    cols = [scaler(table.values[:, j], label) for j, label in enumerate(table.col_labels)]
+    return replace(table, values=np.column_stack(cols))
 
 
 _ROW_STATS = {

@@ -189,27 +189,18 @@ def render_detail_rows(detail: SrdDetail) -> list[list[str]]:
     header = [""]
     for label in detail.solution_labels:
         header += [label, f"{label}_Rank", f"{label}_Dist"]
-    header += [detail.reference_label, f"{detail.reference_label}_Rank"]
-    rows = [header]
+    rows = [header + [detail.reference_label, f"{detail.reference_label}_Rank"]]
     for i, row_label in enumerate(detail.row_labels):
         row = [row_label]
-        for j in range(len(detail.solution_labels)):
-            row += [
-                _grid_repr(detail.solution_values[i, j]),
-                _grid_repr(detail.solution_ranks[i, j]),
-                dist_formats[j](detail.distances[i, j]),
-            ]
-        row += [
-            _grid_repr(detail.reference_values[i]),
-            _grid_repr(detail.reference_ranks[i]),
-        ]
-        rows.append(row)
+        for j, fmt in enumerate(dist_formats):
+            row += [_grid_repr(detail.solution_values[i, j]),
+                    _grid_repr(detail.solution_ranks[i, j]), fmt(detail.distances[i, j])]
+        rows.append(row + [_grid_repr(detail.reference_values[i]),
+                           _grid_repr(detail.reference_ranks[i])])
     summary = ["SRD"]
-    for j in range(len(detail.solution_labels)):
-        summary += ["-", "-", dist_formats[j](detail.raw_srd[j])]
-    summary += ["-", "-"]
-    rows.append(summary)
-    return rows
+    for fmt, raw in zip(dist_formats, detail.raw_srd):
+        summary += ["-", "-", fmt(raw)]
+    return rows + [summary + ["-", "-"]]
 
 
 def write_detailed(detail: SrdDetail, path, delimiter: str = ";") -> None:

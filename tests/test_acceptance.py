@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import srdkit as sk
+from srdkit import core
 from srdkit.core import max_srd
 from srdkit.tableio import write_crossval_report, write_distribution, write_replay
 from tests.conftest import (
@@ -246,11 +247,13 @@ def test_criterion_13_preprocessing_invariance():
     _record(13, "four scalers leave ranks and scores bit-identical on 100 tables")
 
 
-def test_criterion_14_seeded_runs_are_byte_identical(tmp_path, bundesliga):
+def test_criterion_14_seeded_runs_are_byte_identical(tmp_path, bundesliga, monkeypatch):
     reference_bytes = None
     for label, workers in (("w1", 1), ("w1_again", 1), ("w2", 2), ("w8", 8)):
-        dist = sk.generate_distribution(bundesliga, option="f", samples=150_000,
-                                        seed=14, workers=workers)
+        # As many usable CPUs as workers; 150,000 samples make enough blocks for 8.
+        monkeypatch.setattr(core.os, "sched_getaffinity",
+                            lambda pid, count=workers: set(range(count)), raising=False)
+        dist = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=14)
         path = tmp_path / f"dist_{label}.csv"
         write_distribution(dist, path)
         payload = path.read_bytes()

@@ -387,17 +387,28 @@ def test_every_subcommand_documents_its_flags(capsys, command):
         assert "--output-prefix" in out and "--no-save" in out
 
 
-def test_crrn_workers_default_to_the_usable_cpus(capsys, bundesliga_csv):
-    with pytest.raises(SystemExit):
+def test_crrn_workers_default_to_the_usable_cpus(capsys, bundesliga_csv, monkeypatch):
+    # 20,000 samples of 18 rows make six blocks: up to six workers draw them,
+    # one per usable CPU, and the report does not change.
+    argv = ["crrn", bundesliga_csv, "--samples", "20000", "--seed", "2", "--no-save"]
+    reports = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(sk.core.os, "sched_getaffinity",
+                            lambda pid, count=cpus: set(range(count)), raising=False)
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_crrn_rejects_workers_flag(capsys, bundesliga_csv):
+    # The usable CPUs set the worker count; there is no flag for it.
+    with pytest.raises(SystemExit) as exc:
         main(["crrn", "--help"])
-    assert "one per usable CPU" in " ".join(capsys.readouterr().out.split())
-    argv = ["crrn", bundesliga_csv, "--samples", "3000", "--seed", "2", "--no-save"]
-    assert main(argv) == 0
-    default = capsys.readouterr().out
-    assert main(argv + ["--workers", "3"]) == 0
-    assert capsys.readouterr().out == default
-    assert main(argv + ["--workers", "0"]) == 2
-    assert "worker count must be an integer of at least 1" in capsys.readouterr().err
+    assert exc.value.code == 0 and "--workers" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["crrn", bundesliga_csv, "--samples", "3000", "--workers", "2", "--no-save"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

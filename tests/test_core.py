@@ -299,7 +299,8 @@ class TestRankWorkers:
     ])
     def test_solution_columns_split_by_cpus_columns_and_cells(self, monkeypatch, shape,
                                                               cpus, expected):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         table = sk.DataTable(np.zeros(shape), tuple(map(str, range(shape[0]))),
                              tuple(map(str, range(shape[1]))))
         ranges = core._column_ranges(table, shape[1] - 1)
@@ -320,3 +321,24 @@ class TestRankWorkers:
             for test in ("wilcoxon", "alpaydin"):
                 report = sk.cross_validate(table, test, seed=1)
                 sk.crossval_srd(table, report.scheme)
+
+    @pytest.mark.parametrize("cpus, parts, expected", [(2, 5, 2), (8, 3, 3), (8, 0, 1),
+                                                       (1, 9, 1)])
+    def test_worker_count_is_the_usable_cpus_bounded_by_the_parts(self, monkeypatch, cpus,
+                                                                  parts, expected):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert core._worker_count(parts) == expected
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_in_workers_takes_each_step_once_the_last_is_done(self, count):
+        done = []
+
+        def steps():
+            for i in range(3):
+                yield lambda w, i=i: done.append((i, w))
+                # Every worker has finished step i before the next is taken.
+                assert sorted(done) == [(i, w) for w in range(count)]
+                done.clear()
+
+        core._in_workers(count, steps())

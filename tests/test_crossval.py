@@ -173,6 +173,11 @@ class TestMakeFolds:
         with pytest.raises(SrdError, match=message):
             sk.FoldScheme("subsample", folds, k, seed)
 
+    @pytest.mark.parametrize("folds", [None, 5])
+    def test_scheme_rejects_folds_that_are_not_a_sequence(self, folds):
+        with pytest.raises(SrdError, match="folds must be a sequence of row-index sequences"):
+            sk.FoldScheme("subsample", folds, 2)
+
     def test_drawn_folds_share_one_int_per_row(self):
         scheme = sk.make_folds(1000, 4, seed=1)
         ids = {id(i) for fold in scheme.folds for i in fold}
@@ -363,6 +368,14 @@ class TestDietterichPairTest:
         with pytest.raises(SrdError, match="replications"):
             sk.dietterich_pair_test([1, 2], [2, 1])
 
+    @pytest.mark.parametrize("a, b", [
+        ([1e308, -1e308, 1e308, -1e308], [-1e308, 1e308, 0.0, 0.0]),  # d[0] = 2e308
+        ([5e-324, 0, 0, 0], [0, 0, 0, 0]),  # the pooled spread underflows to 0.0
+    ])
+    def test_statistic_beyond_the_float_range_rejected(self, a, b):
+        with pytest.raises(SrdError, match="paired t statistic is beyond the float range"):
+            sk.dietterich_pair_test(a, b)
+
 
 class TestAlpaydinPairTest:
     def test_alternating_unit_differences(self):
@@ -378,6 +391,10 @@ class TestAlpaydinPairTest:
     def test_constant_nonzero_differences_are_degenerate(self):
         with pytest.raises(SrdError, match="degenerate variance"):
             sk.alpaydin_pair_test([3, 3, 3, 3], [1, 1, 1, 1])
+
+    def test_statistic_beyond_the_float_range_rejected(self):
+        with pytest.raises(SrdError, match="paired F statistic is beyond the float range"):
+            sk.alpaydin_pair_test([1e308] * 4, [0, 0, 0, 5e-324])
 
     def test_swapping_sides_preserves_f(self):
         rng = np.random.default_rng(9)
@@ -424,6 +441,26 @@ class TestEvaluateFolds:
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(SrdError, match="finite"):
             sk.evaluate_folds([[0.1, bad]] * 5, None)
+
+    @pytest.mark.parametrize("fold_srd, message", [
+        ([1.0, 2.0], "fold scores must be rows of numbers, got 1.0"),
+        (None, "fold scores must be rows of numbers, got None"),
+        ([[0.1, 0.2j]] * 5, "fold scores must be finite real numbers, got 0.2j"),
+        ([[0.1, None]] * 5, "fold scores must be finite real numbers, got None"),
+        ([[0.1, "0.2"]] * 5, "fold scores must be finite real numbers, got '0.2'"),
+    ], ids=["flat_list", "none", "complex", "none_cell", "string_cell"])
+    def test_non_numeric_scores_rejected(self, fold_srd, message):
+        with pytest.raises(SrdError, match=message):
+            sk.evaluate_folds(fold_srd, None)
+
+    def test_scheme_must_have_one_fold_per_row(self):
+        # A report's scheme is what its replay file records.
+        scores = [[0.1, 0.2], [0.2, 0.1], [0.3, 0.1], [0.1, 0.4], [0.2, 0.2]]
+        report = sk.evaluate_folds(scores, None, scheme=sk.make_folds(10, 5, seed=1))
+        assert report.scheme.k == 5
+        with pytest.raises(SrdError, match="the scheme has 3 folds, but the fold matrix "
+                                           "has 5 rows"):
+            sk.evaluate_folds(scores, None, scheme=sk.make_folds(10, 3, seed=1))
 
 
 class TestCrossValidate:

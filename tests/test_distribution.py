@@ -11,6 +11,11 @@ from srdkit import SrdError, core, distribution
 from srdkit.core import max_srd
 
 
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 def _pair_table(n):
     return sk.from_columns(
         {"a": list(range(n)), "ref": list(range(n))}, reference="ref"
@@ -115,14 +120,11 @@ class TestGenerateDistribution:
         assert a.thresholds == b.thresholds
 
     def test_worker_count_does_not_change_the_result(self, bundesliga, monkeypatch):
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
-        base = sk.generate_distribution(bundesliga, option="f",
-                                        samples=150_000, seed=10, workers=1)
-        for workers in (2, 3, 8, None):
-            other = sk.generate_distribution(bundesliga, option="f",
-                                             samples=150_000, seed=10,
-                                             workers=workers)
+        _usable_cpus(monkeypatch, 1)
+        base = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10)
+        for cpus in (2, 3, 8):
+            _usable_cpus(monkeypatch, cpus)
+            other = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10)
             assert np.array_equal(base.support, other.support)
             assert np.array_equal(base.frequency, other.frequency)
 
@@ -133,13 +135,11 @@ class TestGenerateDistribution:
         real = distribution._Block
         monkeypatch.setattr(distribution, "_Block",
                             lambda *args: built.append(args) or real(*args))
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
-        for samples, workers, expected in ((150_000, 1, 1), (150_000, 2, 2),
-                                           (150_000, 8, 8), (3_000, 8, 1)):
+        for samples, cpus, expected in ((150_000, 1, 1), (150_000, 2, 2),
+                                        (150_000, 8, 8), (3_000, 8, 1)):
             built.clear()
-            sk.generate_distribution(bundesliga, option="f", samples=samples, seed=10,
-                                     workers=workers)
+            _usable_cpus(monkeypatch, cpus)
+            sk.generate_distribution(bundesliga, option="f", samples=samples, seed=10)
             assert len(built) == expected
             assert len({id(args[0]) for args in built}) == 1  # one set of shared tiles
 
@@ -156,39 +156,47 @@ class TestGenerateDistribution:
         monkeypatch.setattr(core.os, "cpu_count", lambda: cpus)
         dist = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10)
         assert len(built) == expected
-        base = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10,
-                                        workers=1)
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
+        base = sk.generate_distribution(bundesliga, option="f", samples=150_000, seed=10)
         assert np.array_equal(dist.frequency, base.frequency)
 
     def test_thread_pool_is_bounded_by_the_usable_cpus(self, bundesliga, monkeypatch):
-        # 50 workers over many small blocks, or the default, run as two workers on
-        # two usable CPUs: the calling thread and one pool thread.
-        pools, jobs = [], []
+        # Many small blocks run as two workers on two usable CPUs: the calling
+        # thread and one pool thread, which takes one step per sub-stream.  One
+        # usable CPU makes no pool.
+        pools, jobs, stripes = [], [], []
 
-        class Recorder(distribution.ThreadPoolExecutor):
+        class Recorder(core.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-            def submit(self, *args):
-                jobs.append((len(args[-1]), *args[3:5]))  # blocks, first block, stride
-                return super().submit(*args)
+            def submit(self, step, w):
+                jobs.append(w)
+                return super().submit(step, w)
+
+        real = distribution._stripe
+
+        def record(block, gens, first, stride, *args):
+            stripes.append((len(args[-1]), first, stride))  # blocks, first block, stride
+            real(block, gens, first, stride, *args)
 
         monkeypatch.setattr(distribution, "_BLOCK", 64)
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(distribution, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(distribution, "_stripe", record)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Recorder)
         kwargs = dict(option="f", samples=70_000, seed=10)
-        base = sk.generate_distribution(bundesliga, workers=1, **kwargs)
-        assert pools == [1] and jobs == []
-        for workers in (50, None):
-            pools.clear()
-            jobs.clear()
-            wide = sk.generate_distribution(bundesliga, workers=workers, **kwargs)
-            assert pools == [1]
-            assert jobs == [(65_536, 1, 2), (4_464, 1, 2)]  # 64 // (18 * 2) rows a block
-            assert np.array_equal(base.frequency, wide.frequency)
+        _usable_cpus(monkeypatch, 1)
+        base = sk.generate_distribution(bundesliga, **kwargs)
+        assert pools == [] and jobs == []
+        assert [first for _, first, _ in stripes] == [0, 0]
+        stripes.clear()
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
+        wide = sk.generate_distribution(bundesliga, **kwargs)
+        assert pools == [1] and jobs == [1, 1]
+        # 64 // (18 * 2) rows a block
+        assert sorted(stripes) == [(4_464, 0, 2), (4_464, 1, 2), (65_536, 0, 2), (65_536, 1, 2)]
+        assert np.array_equal(base.frequency, wide.frequency)
 
     @pytest.mark.parametrize("n", [18, 120])
     def test_workers_draw_equal_shares_of_a_full_sub_stream(self, n, monkeypatch):
@@ -202,12 +210,10 @@ class TestGenerateDistribution:
             real(block, gens, first, stride, *args)
 
         monkeypatch.setattr(distribution, "_stripe", record)
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
         for workers in (1, 2, 3):
             stripes.clear()
-            sk.generate_distribution(_pair_table(n), "n", samples=65_536, seed=1,
-                                     workers=workers)
+            _usable_cpus(monkeypatch, workers)
+            sk.generate_distribution(_pair_table(n), "n", samples=65_536, seed=1)
             assert sorted(first for first, _, _ in stripes) == list(range(workers))
             (blocks, step), = {shape for _, _, shape in stripes}
             assert (blocks - 1) * step < 65_536 <= blocks * step
@@ -279,14 +285,8 @@ class TestGenerateDistribution:
             sk.generate_distribution(_pair_table(1), option="n", samples=10)
         with pytest.raises(SrdError):
             sk.generate_distribution(bundesliga, option="f", samples=0)
-        for workers in (0, 1.5, True):
-            with pytest.raises(SrdError, match="worker count must be an integer"):
-                sk.generate_distribution(bundesliga, option="f", samples=10,
-                                         workers=workers)
-        default = sk.generate_distribution(bundesliga, option="f", samples=10, seed=1,
-                                           workers=None)
-        one = sk.generate_distribution(bundesliga, option="f", samples=10, seed=1, workers=1)
-        assert np.array_equal(default.frequency, one.frequency)
+        with pytest.raises(TypeError, match="workers"):  # the usable CPUs set the count
+            sk.generate_distribution(bundesliga, option="f", samples=10, workers=1)
         with pytest.raises(SrdError, match="two columns"):  # option 'd' has no donor column
             sk.generate_distribution(sk.from_columns({"ref": [1, 2, 3]}), option="d",
                                      samples=10)
@@ -297,7 +297,6 @@ class TestGenerateDistribution:
         (dict(seed=1.0), "seed must be an integer"),
         (dict(samples=2.5), "sample count must be an integer of at least 1, got 2.5"),
         (dict(samples=True), "sample count must be an integer"),
-        (dict(workers=1.5), "worker count must be an integer of at least 1, got 1.5"),
     ])
     def test_bad_seed_samples_or_workers_rejected(self, bundesliga, kwargs, message):
         with pytest.raises(SrdError, match=message):
@@ -306,11 +305,10 @@ class TestGenerateDistribution:
     def test_traced_peak_repeats_with_two_workers(self, bundesliga, mep, monkeypatch):
         # Worker threads allocate nothing per block, so the way two workers'
         # blocks overlap in time cannot move a call's allocation peak.
-        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+        _usable_cpus(monkeypatch, 2)
         for table, option, tie_prob in ((bundesliga, "f", None), (mep, "d", None),
                                         (_pair_table(120), "t", 0.2)):
-            kwargs = dict(tie_prob=tie_prob, samples=20_000, seed=1, workers=2)
+            kwargs = dict(tie_prob=tie_prob, samples=20_000, seed=1)
             sk.generate_distribution(table, option, **kwargs)  # warm-up
             peaks = []
             for _ in range(10):
@@ -494,6 +492,14 @@ class TestClassify:
         assert sk.classify(0.79, t) is sk.CrrnVerdict.NOT_DISTINGUISHABLE
         assert sk.classify(0.0, t) is sk.CrrnVerdict.SIGNIFICANT_SIMILAR
         assert sk.classify(1.0, t) is sk.CrrnVerdict.SIGNIFICANT_DISSIMILAR
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), "0.5", None])
+    def test_score_must_be_a_finite_real_number(self, score):
+        t = sk.Thresholds(xx1=0.3, q1=0.4, median=0.5, q3=0.6, xx19=0.8,
+                          mean=0.5, std_dev=0.1)
+        with pytest.raises(SrdError, match="normalized SRD must be a finite real "
+                                           "number, got"):
+            sk.classify(score, t)
 
     def test_verdict_strings(self):
         assert str(sk.CrrnVerdict.SIGNIFICANT_SIMILAR) == "SignificantSimilar"

@@ -529,7 +529,7 @@ def _check_against_oracle(table, option, tie_prob, samples, seed, workers):
     with mock.patch.object(core.os, "sched_getaffinity", create=True,
                            new=lambda pid: set(range(workers))):
         dist = sk.generate_distribution(table, option, tie_prob=tie_prob,
-                                        samples=samples, seed=seed, workers=workers)
+                                        samples=samples, seed=seed)
     support, frequency = _oracle_distribution(table, option, tie_prob, samples, seed)
     assert np.array_equal(dist.support, support)
     assert np.array_equal(dist.frequency, frequency)
