@@ -8,10 +8,10 @@ its rank column and the reference rank column, optionally normalized by the
 largest distance two rankings of that size can have.
 
 Every score takes one path: one sort of each range of solution columns, with
-the reference, then int64 sums of doubled ranks per row set.  Whole-table
-scores are the set of all rows; each cross-validation fold is another.  Large
-tables split their columns over one worker thread per usable CPU; integer
-sums make every output the same for any number of workers.
+the reference, into intp tie-group labels, then int64 sums of doubled ranks
+per row set.  Whole-table scores are the set of all rows; each fold is
+another.  Large tables split their columns over one worker thread per usable
+CPU; integer sums make every output the same for any number of workers.
 """
 
 from __future__ import annotations
@@ -285,13 +285,13 @@ class TieGroups:
     one ``bincount`` over a set of rows counts the selected members of every
     group of every column at once.
 
-    ``labels`` is (m, n) for m selected columns of n rows: one contiguous row
-    per column, so a set of rows is gathered from each column's row in one
-    ``take``.  Labels and doubled ranks (at most 2n) are int32, or int64 for
-    2^30 selected cells or more.  Two steps need int64: the count table, whose
-    running sum spans the selected rows of every column, and any sum of
-    rank differences, since one column's doubled raw SRD passes 2^31 from
-    46,341 rows.
+    ``labels`` is (m, n) intp for m selected columns of n rows: one contiguous
+    row per column, gathered for a set of rows in one ``take``, and used by
+    ``bincount`` and ``take`` with no conversion.  ``firsts`` holds each
+    column's first label, so a column's groups run up to the next one's.  The
+    k doubled ranks of a column are intp too, at most 2k, and sum to k(k + 1).
+    Sums of rank differences need int64: one column's doubled raw SRD passes
+    2^31 from 46,341 rows.
     """
 
     def __init__(self, values: np.ndarray, columns=slice(None)) -> None:
@@ -306,15 +306,14 @@ class TieGroups:
         starts[1:] = ordered[1:] != ordered[:-1]
         del ordered
         starts[::n] = True  # each column's smallest value opens a group
-        dtype = np.int32 if 2 * m * n < 2**31 else np.int64
-        labels = np.cumsum(starts, dtype=dtype)
+        labels = np.cumsum(starts, dtype=np.intp)
+        del starts
         labels -= 1
         groups = np.empty_like(labels)
         groups[flat] = labels
         self.labels = groups.reshape(m, n)
         self.count = int(labels[-1]) + 1
-        self._label_cols = np.flatnonzero(starts)
-        self._label_cols //= n
+        self.firsts = labels[::n].copy()
 
     def doubled_ranks(self, rows=None) -> np.ndarray:
         """Twice the (m, k) average ranks of k given rows, ranked among themselves.
@@ -326,15 +325,17 @@ class TieGroups:
         """
         sub = self.labels if rows is None else self.labels.take(rows, axis=1)
         counts = np.bincount(sub.ravel(), minlength=self.count)
-        doubled = 2 * np.cumsum(counts) - counts + 1
-        # The labels count the selected rows of every earlier column too.
-        doubled -= 2 * sub.shape[1] * self._label_cols
-        return doubled.astype(self.labels.dtype).take(sub)
+        doubled = 2 * counts
+        doubled[self.firsts[1:]] -= 2 * sub.shape[1]  # restart each column's sum
+        np.cumsum(doubled, out=doubled)
+        doubled -= counts
+        doubled += 1
+        return doubled.take(sub)
 
     def tie_probabilities(self) -> np.ndarray:
         """Per column, the share of its n - 1 adjacent sorted pairs that are tied."""
-        m, n = self.labels.shape
-        return (n - np.bincount(self._label_cols, minlength=m)) / (n - 1)
+        n = self.labels.shape[1]
+        return (n - np.diff(self.firsts, append=self.count)) / (n - 1)
 
 
 def fractional_ranks(values) -> np.ndarray:
@@ -387,10 +388,10 @@ def _srd_units(table: DataTable, folds=(None,)) -> tuple[np.ndarray, list[int]]:
     """Doubled raw SRD per row set and solution, and the solutions' column indices.
 
     Each of ``folds`` is an intp array of rows, ranked among themselves, or
-    None for all rows.  Doubling makes every rank, so every sum, an integer.
-    Each worker sorts one range of solutions with the reference and scores
-    that range on every row set; integer sums make the result the same for
-    any number of workers.
+    None for all rows.  Doubling makes every rank, so every sum, an integer:
+    two columns of k doubled ranks each sum to k(k + 1), so their L1 distance
+    is 2k(k + 1) - 2 sum(min(a, b)).  Each worker sorts its range of solutions
+    with the reference and scores it on every row set.
     """
     ref, sol = _reference_split(table)
     units = np.empty((len(folds), len(sol)), dtype=np.int64)
@@ -401,9 +402,9 @@ def _srd_units(table: DataTable, folds=(None,)) -> tuple[np.ndarray, list[int]]:
         groups = TieGroups(table.values, sol[part] + [ref])
         for i, rows in enumerate(folds):
             ranks = groups.doubled_ranks(rows)
-            diffs = ranks[:-1]
-            diffs -= ranks[-1]
-            np.abs(diffs, out=diffs).sum(axis=1, dtype=np.int64, out=units[i, part])
+            k = ranks.shape[1]
+            low = np.minimum(ranks[:-1], ranks[-1], out=ranks[:-1])
+            units[i, part] = 2 * k * (k + 1) - 2 * low.sum(axis=1, dtype=np.int64)
 
     _in_workers(len(parts), [score])
     return units, sol

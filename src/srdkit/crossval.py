@@ -107,8 +107,8 @@ def _checked_fold(fold) -> np.ndarray:
         raise SrdError("fold indices must be integers")
     if arr.size < 2:
         raise SrdError("every fold must retain at least 2 rows")
-    ordered = arr if (arr[1:] > arr[:-1]).all() else np.sort(arr)  # drawn folds are sorted
-    if ordered[0] < 0 or (ordered[1:] == ordered[:-1]).any():
+    ordered = arr if (arr[1:] > arr[:-1]).all() else np.sort(arr)  # drawn folds rise, so unique
+    if ordered[0] < 0 or (ordered is not arr and (ordered[1:] == ordered[:-1]).any()):
         raise SrdError("fold indices must be unique and nonnegative")
     if int(ordered[-1]) > np.iinfo(np.intp).max:
         raise SrdError(f"fold index {ordered[-1]} is past the largest addressable row")
@@ -254,21 +254,22 @@ def _over_one_denominator(values) -> tuple[list[int], int]:
     return [p * (common // q) for p, q in ratios], common
 
 
-def _signed_rank_tail(w_doubled: int, k: int) -> float:
+def _signed_rank_tail(w_doubled: int, k: int, nulls: dict) -> float:
     """Two-sided p of the signed-rank sum: 2 * P(W <= w) under the exact null.
 
     ``w_doubled`` is twice the observed sum.  The null assigns random signs
     to the integer ranks 1..k; when ties make the observed sum fractional
     it is rounded up to the next attainable value, matching the classical
-    critical-value tables.
+    critical-value tables.  ``nulls`` keeps, per k, how many sign
+    assignments give each sum or less.
     """
     total = k * (k + 1) // 2
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
-    for r in range(1, k + 1):
-        counts[r:] += counts[:-r].copy()
+    if k not in nulls:
+        nulls[k] = at_most = np.ones(total + 1, dtype=np.int64)  # the empty subset
+        for r in range(1, k + 1):  # rank r shifts cumulative counts as it does counts
+            at_most[r:] += at_most[:-r].copy()
     w_star = min(-(-w_doubled // 2), total)
-    return min(1.0, 2.0 * float(counts[: w_star + 1].sum()) / 2.0**k)
+    return min(1.0, 2.0 * float(nulls[k][w_star]) / 2.0**k)
 
 
 def _category(p: float) -> str:
@@ -294,13 +295,14 @@ def _check_signed_rank_folds(k: int) -> None:
                        f"got {k}")
 
 
-def wilcoxon_pair_test(a, b) -> PairTestResult:
+def wilcoxon_pair_test(a, b, *, nulls: dict | None = None) -> PairTestResult:
     """Signed-rank test between two solutions' fold scores.
 
     Zero differences are dropped; |differences| get average ranks; the
     reported statistic is |W+ - W-|.  With every difference zero the pair
     is degenerate: statistic 0 and no significance.  The exact null takes
-    5 to 62 folds, zero differences included.
+    5 to 62 folds, zero differences included; one ``nulls`` dict builds it
+    once per count of nonzero differences for every test it is passed to.
     """
     d, _ = _paired_differences(a, b, "the signed-rank test")
     if len(d) < 5:
@@ -314,23 +316,24 @@ def wilcoxon_pair_test(a, b) -> PairTestResult:
     w_plus = sum(bisect_left(magnitudes, x) + bisect_right(magnitudes, x) + 1
                  for x in d if x > 0)
     w_minus = len(d) * (len(d) + 1) - w_plus
-    p = _signed_rank_tail(min(w_plus, w_minus), len(d))
+    p = _signed_rank_tail(min(w_plus, w_minus), len(d), {} if nulls is None else nulls)
     return PairTestResult(abs(w_plus - w_minus) / 2, p, _category(p))
 
 
-def _replication_spread(d: list[int]) -> int:
-    # s_i^2 = (d1 - mean)^2 + (d2 - mean)^2 = (d1 - d2)^2 / 2: the pooled
-    # spread is this sum over 2 * denominator^2.
-    return sum((d[i] - d[i + 1]) ** 2 for i in range(0, len(d), 2))
-
-
-def _check_replications(d: list[int], test_name: str) -> int:
+def _replications(a, b, test_name: str) -> tuple[list[int], int, int, int]:
+    """Paired differences over their denominator, replication count and pooled spread."""
+    d, common = _paired_differences(a, b, test_name)
     if len(d) % 2:
         raise SrdError(f"{test_name} needs an even number of folds")
     r = len(d) // 2
     if r < 2:
         raise SrdError(f"{test_name} needs at least 2 replications (4 folds)")
-    return r
+    # s_i^2 = (d1 - mean)^2 + (d2 - mean)^2 = (d1 - d2)^2 / 2: the pooled
+    # spread is this sum over 2 * denominator^2.
+    spread = sum((d[i] - d[i + 1]) ** 2 for i in range(0, len(d), 2))
+    if spread == 0:
+        raise SrdError("degenerate variance: no spread within replications")
+    return d, common, r, spread
 
 
 def dietterich_pair_test(a, b) -> PairTestResult:
@@ -340,11 +343,7 @@ def dietterich_pair_test(a, b) -> PairTestResult:
     statistic is the first difference over the pooled within-replication
     spread, referred to a t distribution with k/2 degrees of freedom.
     """
-    d, common = _paired_differences(a, b, "the paired t test")
-    r = _check_replications(d, "the paired t test")
-    spread = _replication_spread(d)
-    if spread == 0:
-        raise SrdError("degenerate variance: no spread within replications")
+    d, common, r, spread = _replications(a, b, "the paired t test")
     # Unlike W and F, t is not scale-free in floating point: round the first
     # difference and the pooled spread to floats before combining them.
     try:
@@ -363,11 +362,7 @@ def alpaydin_pair_test(a, b) -> PairTestResult:
     within-replication spread, referred to an F distribution with
     (k, k/2) degrees of freedom; the upper tail is one-sided.
     """
-    d, _ = _paired_differences(a, b, "the paired F test")
-    r = _check_replications(d, "the paired F test")
-    spread = _replication_spread(d)
-    if spread == 0:
-        raise SrdError("degenerate variance: no spread within replications")
+    d, _, r, spread = _replications(a, b, "the paired F test")
     try:
         f_stat = sum(x * x for x in d) / spread
     except OverflowError:
@@ -391,7 +386,8 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
     ``fold_srd`` is a k x m matrix of fold scores in original solution
     order.  Entries may be Fractions, integers or floats; they are put over
     one common denominator, so the pair tests see their exact values.
-    Ordering ties are broken by ascending mean, then original position.
+    Ordering ties are broken by ascending mean, then original position.  A
+    ``scheme`` has k folds, half splits for the paired-replication tests.
     """
     if test not in TESTS:
         raise SrdError(f"unknown test {test!r}; expected one of {', '.join(TESTS)}")
@@ -405,6 +401,9 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
     if scheme is not None and scheme.k != len(exact):
         raise SrdError(f"the scheme has {scheme.k} folds, but the fold matrix has "
                        f"{len(exact)} rows")
+    if scheme is not None and test != "wilcoxon" and scheme.kind != "half_split":
+        raise SrdError(f"the {test} test pairs half-split replications, "
+                       f"but the scheme has {scheme.kind} folds")
     if any(len(row) != len(exact[0]) for row in exact):
         raise SrdError("fold matrix rows must have equal length")
     m = len(exact[0])
@@ -420,9 +419,10 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
     order = tuple(int(j) for j in np.lexsort((np.arange(m), means, medians)))
 
     run_test = _PAIR_TESTS[test]
+    shared = {"nulls": {}} if test == "wilcoxon" else {}  # one null per count, per call
     columns = [_Scaled(column, common) for column in zip(*exact)]
     pair_results = tuple(
-        run_test(columns[order[i]], columns[order[i + 1]]) for i in range(m - 1)
+        run_test(columns[order[i]], columns[order[i + 1]], **shared) for i in range(m - 1)
     )
 
     # Min, the nearest-rank (ceil(p k)-th smallest) percentiles, and max.
@@ -464,9 +464,6 @@ def cross_validate(table: DataTable, test: str = "wilcoxon",
         scheme = make_folds(table.n_rows, k, kind, seed)
     if test == "wilcoxon":
         _check_signed_rank_folds(scheme.k)
-    elif scheme.kind != "half_split":
-        raise SrdError(f"the {test} test pairs half-split replications, "
-                       f"but the scheme has {scheme.kind} folds")
     units, f_values, labels = _fold_raw_units(table, scheme)
     exact = [_Scaled(row, 2 * f) for row, f in zip(units.tolist(), f_values.tolist())]
     return evaluate_folds(exact, labels, test, scheme)

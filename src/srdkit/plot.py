@@ -98,13 +98,14 @@ def pairwise_srd(table: DataTable) -> PairwiseMatrix:
     if table.n_cols < 2:
         raise SrdError("pairwise distances need at least two columns")
     # TieGroups' doubled ranks are integers up to 2n, one contiguous row per
-    # column; the narrowest dtype keeps the m^2 / 2 column differences exact
-    # and cheap.  Below 2n = 2^15, int16 holds them and int32 their n-term sums.
+    # column, each summing to n(n + 1); a distance is 2n(n + 1) - 2 sum(min).
+    # The narrowest dtype keeps the m^2 / 2 column minima cheap: for n < 16384,
+    # int16 holds 2n and int32 every sum, as 2n(n + 1) < 2^31.
     narrow = 2 * table.n_rows < 2**15
     m, n = table.n_cols, table.n_rows
     doubled = np.empty((m, n), dtype=np.int16 if narrow else np.int32)
     total = np.int32 if narrow else np.int64
-    f2 = 2 * max_srd(n)
+    f2, rank_sums = 2 * max_srd(n), 2 * n * (n + 1)
     values = np.zeros((m, m))
     parts = _column_ranges(table, m)
     workers = len(parts)
@@ -115,10 +116,10 @@ def pairwise_srd(table: DataTable) -> PairwiseMatrix:
     def distances(w: int) -> None:
         # n = 1 gives f2 = 0, but then every distance is 0 as well.  Integer
         # sums make both triangles, filled from one row, exactly equal.
-        diffs = np.empty((m - 1, n), dtype=doubled.dtype)
+        lows = np.empty((m - 1, n), dtype=doubled.dtype)
         for i in range(w, m - 1 if f2 else 0, workers):
-            d = np.subtract(doubled[i + 1:], doubled[i], out=diffs[:m - 1 - i])
-            d = np.abs(d, out=d).sum(axis=1, dtype=total) / f2
+            low = np.minimum(doubled[i + 1:], doubled[i], out=lows[:m - 1 - i])
+            d = (rank_sums - 2 * low.sum(axis=1, dtype=total)) / f2
             values[i, i + 1:] = d
             values[i + 1:, i] = d
 

@@ -462,6 +462,19 @@ class TestEvaluateFolds:
                                            "has 5 rows"):
             sk.evaluate_folds(scores, None, scheme=sk.make_folds(10, 3, seed=1))
 
+    @pytest.mark.parametrize("test", ["dietterich", "alpaydin"])
+    def test_paired_replication_tests_reject_subsample_schemes(self, bundesliga, test):
+        # As in cross_validate, so no report records a replay it would refuse.
+        message = (f"the {test} test pairs half-split replications, "
+                   f"but the scheme has subsample folds")
+        with pytest.raises(SrdError, match=message):
+            sk.cross_validate(bundesliga, test, scheme=sk.make_folds(18, 4, seed=1))
+        scores = [[0.1, 0.2], [0.2, 0.1], [0.3, 0.1], [0.1, 0.4]]
+        with pytest.raises(SrdError, match=message):
+            sk.evaluate_folds(scores, None, test, scheme=sk.make_folds(10, 4, seed=1))
+        assert sk.evaluate_folds(scores, None, test,
+                                 scheme=sk.make_folds(10, 4, "half_split", seed=1)).scheme.k == 4
+
 
 class TestCrossValidate:
     def test_unknown_test_rejected(self, bundesliga):

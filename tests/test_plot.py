@@ -53,6 +53,9 @@ class TestPairwiseSrd:
                               for j in range(4)] for i in range(4)])
         assert np.array_equal(sk.pairwise_srd(table).values, expected)
         assert expected[0, 1] == 1.0
+        for other in ("down", "tied"):  # two-column tables, as well
+            two = sk.from_columns({"up": table.column("up"), other: table.column(other)})
+            assert sk.pairwise_srd(two).values[0, 1] == expected[0, table.col_labels.index(other)]
 
     def test_needs_two_columns(self):
         with pytest.raises(SrdError, match="two columns"):

@@ -147,6 +147,23 @@ def test_tie_probabilities_equal_sorted_count(values):
     assert [sk.tie_probability(column) for column in values.T] == expected.tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(tie_matrices(), st.data())
+def test_tie_groups_rank_any_row_subset_of_any_columns(values, data):
+    # Columns in any order, rows an unsorted subset: each column's ranks
+    # restart from the first of its groups, selected or not.
+    n, m = values.shape
+    cols = data.draw(st.permutations(range(m)))[:data.draw(st.integers(1, m))]
+    rows = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+    groups = TieGroups(values, cols)
+    picked = values[:, cols]
+    assert np.array_equal(groups.doubled_ranks(np.array(rows, dtype=np.intp)),
+                          2 * _per_column_ranks(picked[rows]).T)
+    assert np.array_equal(groups.doubled_ranks(), 2 * _per_column_ranks(picked).T)
+    distinct = [len(set(column.tolist())) for column in picked.T]  # -0.0 == 0.0
+    assert groups.tie_probabilities().tolist() == [(n - g) / (n - 1) for g in distinct]
+
+
 @settings(max_examples=100, deadline=None)
 @given(tables(min_rows=1, max_rows=40))
 def test_pairwise_is_exactly_symmetric_with_zero_diagonal(table):
