@@ -86,9 +86,16 @@ class _ArrayFields:
 
     Arrays compare by shape and value with ``np.array_equal``, other fields
     with ``==``.  Such objects are unhashable, as their arrays are.
+    ``__post_init__`` marks every array field read-only; a class that checks
+    or converts its fields calls it last.
     """
 
     __hash__ = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if isinstance(value := getattr(self, f.name), np.ndarray):
+                value.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -114,8 +121,9 @@ class DataTable(_ArrayFields):
     reference.
 
     ``values`` is stored as a read-only float64 array.  A float64 input is
-    adopted, not copied: the caller's array is marked read-only too, but a
-    writable view taken from it earlier can still change the table.
+    adopted, not copied: once the table is built, the caller's array is
+    read-only too, but a writable view taken from it earlier can still
+    change the table.
 
     Two tables are equal when their values, labels and reference are; tables
     are unhashable.
@@ -133,7 +141,6 @@ class DataTable(_ArrayFields):
         if not np.all(np.isfinite(values)):
             raise SrdError("table values must all be finite")
         object.__setattr__(self, "values", values)
-        values.flags.writeable = False
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
         if len(self.row_labels) != values.shape[0]:
@@ -148,6 +155,7 @@ class DataTable(_ArrayFields):
         _check_labels(self.col_labels, "column")
         if self.reference is not None and self.reference not in self.col_labels:
             raise SrdError(f"reference column {self.reference!r} is not in the table")
+        super().__post_init__()
 
     @property
     def n_rows(self) -> int:
@@ -215,7 +223,7 @@ def transpose(table: DataTable) -> DataTable:
 class RankMatrix(_ArrayFields):
     """Column-wise fractional ranks of the solution columns of a table.
 
-    Equal when ranks and labels are; unhashable.
+    ``ranks`` is read-only.  Equal when ranks and labels are; unhashable.
     """
 
     ranks: np.ndarray
@@ -238,8 +246,8 @@ class SrdResult(_ArrayFields):
     ``raw_srd[j]`` is the L1 distance of solution j's rank column from the
     reference rank column; ``normalized_srd[j]`` divides it by
     ``max_srd(n_objects)``.  ``scores`` holds whichever of the two the
-    caller asked for and is what reports display.  Equal when every field
-    is; unhashable.
+    caller asked for and is what reports display.  The arrays are
+    read-only.  Equal when every field is; unhashable.
     """
 
     col_labels: tuple[str, ...]
@@ -260,7 +268,11 @@ class SrdDetail(_ArrayFields):
 
     ``distances[i, j]`` is ``|rank(solution j)[i] - rank(reference)[i]|``;
     summing a column gives that solution's raw SRD, stored in ``raw_srd``.
-    Equal when every field is; unhashable.
+    Every array is read-only.  ``reference_values`` is a view of the table's
+    values, and so is ``solution_values`` when the solution columns are
+    contiguous, as they are when the reference is the first or the last
+    column; a reference in the middle gives a copy.  Equal when every field
+    is; unhashable.
     """
 
     row_labels: tuple[str, ...]
@@ -418,8 +430,10 @@ def rank_matrix(table: DataTable) -> RankMatrix:
     designation every column is ranked.
     """
     cols = [j for j, c in enumerate(table.col_labels) if c != table.reference]
-    ranks = fractional_ranks(table.values[:, cols])
-    return RankMatrix(ranks, table.row_labels, tuple(table.col_labels[j] for j in cols))
+    if not cols:
+        raise SrdError("the rank matrix needs a column besides the reference")
+    ranks = TieGroups(table.values, cols).doubled_ranks() / 2
+    return RankMatrix(ranks.T, table.row_labels, tuple(table.col_labels[j] for j in cols))
 
 
 def srd_values(table: DataTable, normalize: bool = True) -> SrdResult:
@@ -469,11 +483,13 @@ def detailed_srd(table: DataTable) -> SrdDetail:
         np.divide(units.sum(axis=1, dtype=np.int64), 2, out=raw[part])
 
     _in_workers(len(parts), [detail])
+    lo, hi = sol[0], sol[-1] + 1  # one range, so a view, when the reference is first or last
+    values = table.values[:, lo:hi] if hi - lo == len(sol) else table.values[:, sol]
     return SrdDetail(
         row_labels=table.row_labels,
         solution_labels=tuple(table.col_labels[j] for j in sol),
         reference_label=table.reference_label,
-        solution_values=table.values[:, sol],
+        solution_values=values,
         solution_ranks=ranks[:-1].T,
         distances=distances.T,
         reference_values=table.values[:, ref],

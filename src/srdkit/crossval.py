@@ -54,8 +54,10 @@ class FoldScheme:
     drawn discards; ``half_split`` folds come in k/2 replications, each a
     partition of the rows into two complementary halves.  Every scheme, drawn,
     built by hand or read from a file, is checked for exactly that shape.
-    ``rows`` holds each fold as a read-only intp array; ``folds`` gives them
-    as tuples of Python ints, built anew on every access.
+    ``rows`` holds each fold as a read-only intp array: a copy of an array
+    the caller passed in, which stays writable, but the very arrays that
+    ``make_folds`` drew.  ``folds`` gives them as tuples of Python ints,
+    built anew on every access.
     """
 
     kind: str
@@ -69,7 +71,7 @@ class FoldScheme:
         k, seed = checked_count(k, "fold count", 1), checked_seed(seed)
         if not isinstance(folds, Iterable):
             raise SrdError(f"folds must be a sequence of row-index sequences, got {folds!r}")
-        rows = tuple(_checked_fold(fold) for fold in folds)
+        rows = tuple(_checked_fold(fold, isinstance(folds, _Drawn)) for fold in folds)
         if len(rows) != k:
             raise SrdError(f"expected {k} folds, got {len(rows)}")
         if kind == "half_split":
@@ -97,8 +99,17 @@ class FoldScheme:
         return self.kind, self.k, self.seed, *(fold.tobytes() for fold in self.rows)
 
 
-def _checked_fold(fold) -> np.ndarray:
-    """One fold's row indices as a read-only intp array, after validation."""
+class _Drawn(tuple):
+    """Folds that ``make_folds`` has just drawn, which only their scheme will hold."""
+
+
+def _checked_fold(fold, drawn: bool = False) -> np.ndarray:
+    """One fold's row indices as a read-only intp array, after validation.
+
+    A caller's ndarray is copied, so a scheme never freezes or aliases it.
+    An intp array built here from a list, tuple or iterable, or one that
+    ``make_folds`` has just ``drawn``, is kept and marked read-only.
+    """
     try:
         arr = np.asarray(fold if isinstance(fold, (tuple, list, np.ndarray)) else tuple(fold))
     except (TypeError, ValueError):
@@ -112,7 +123,7 @@ def _checked_fold(fold) -> np.ndarray:
         raise SrdError("fold indices must be unique and nonnegative")
     if int(ordered[-1]) > np.iinfo(np.intp).max:
         raise SrdError(f"fold index {ordered[-1]} is past the largest addressable row")
-    rows = arr.astype(np.intp)
+    rows = arr.astype(np.intp, copy=isinstance(fold, np.ndarray) and not drawn)
     rows.flags.writeable = False
     return rows
 
@@ -170,9 +181,8 @@ class CrossValReport(_ArrayFields):
 
     def __post_init__(self) -> None:
         for name in ("fold_srd", "box_summary"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        super().__post_init__()
 
 
 def make_folds(n: int, k: int, kind: str = "subsample",
@@ -201,7 +211,7 @@ def make_folds(n: int, k: int, kind: str = "subsample",
             first = np.zeros(n, dtype=bool)
             first[rng.permutation(n)[:(n + 1) // 2]] = True
             folds += np.flatnonzero(first), np.flatnonzero(~first)
-    return FoldScheme(kind, folds, k, seed)  # rejects any other kind
+    return FoldScheme(kind, _Drawn(folds), k, seed)  # rejects any other kind
 
 
 def _fold_raw_units(table: DataTable, scheme: FoldScheme):

@@ -106,8 +106,7 @@ class SrdDistribution(_ArrayFields):
                 )
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "frequency", frequency)
-        support.flags.writeable = False
-        frequency.flags.writeable = False
+        super().__post_init__()
 
 
 def random_tied_ranking(n: int, tie_prob: float, rng: np.random.Generator) -> np.ndarray:

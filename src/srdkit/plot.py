@@ -74,7 +74,7 @@ class PairwiseMatrix(_ArrayFields):
             raise SrdError("pairwise distance matrix must be square")
         if len(self.labels) != values.shape[0]:
             raise SrdError("one label per matrix row is required")
-        values.flags.writeable = False
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,14 @@ class TestDataTable:
         with pytest.raises(ValueError):
             table.values[0, 0] = 9.0
 
+    def test_rejected_table_leaves_the_callers_array_writable(self):
+        values = np.ones((2, 2))
+        with pytest.raises(SrdError, match="duplicate column"):
+            sk.DataTable(values, ("r1", "r2"), ("x", "x"))
+        assert values.flags.writeable
+        sk.DataTable(values, ("r1", "r2"), ("x", "y"))
+        assert not values.flags.writeable  # an accepted float64 array is adopted
+
     def test_reference_label_defaults_to_last(self):
         table = sk.from_columns({"a": [1, 2], "b": [3, 4]})
         assert table.reference is None
@@ -148,6 +157,11 @@ class TestRankMatrix:
         matrix = sk.rank_matrix(bundesliga)
         n = bundesliga.n_rows
         assert np.allclose(matrix.ranks.sum(axis=0), n * (n + 1) / 2)
+
+    def test_reference_only_table_rejected(self):
+        table = sk.from_columns({"ref": [3.0, 7.0, 9.0]}, reference="ref")
+        with pytest.raises(SrdError, match="needs a column besides the reference"):
+            sk.rank_matrix(table)
 
 
 class TestSrdValues:
@@ -287,6 +301,39 @@ def test_results_are_equal_by_value_and_unhashable(build, field, step):
     assert dataclasses.replace(first, **{field: changed}) != first
     with pytest.raises(TypeError, match="unhashable"):
         hash(first)
+
+
+@pytest.mark.parametrize("build", [case[0] for case in _VALUE_CASES.values()],
+                         ids=list(_VALUE_CASES))
+def test_result_arrays_are_read_only(build):
+    result = build()
+    arrays = [value for value in (getattr(result, f.name) for f in dataclasses.fields(result))
+              if isinstance(value, np.ndarray)]
+    assert arrays
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+
+
+@pytest.mark.parametrize("ref, copies", [(0, 0), (100, 1), (199, 0)],
+                         ids=["first", "middle", "last"])
+def test_detailed_srd_keeps_a_view_of_contiguous_solutions(monkeypatch, ref, copies):
+    # The result holds the solution ranks and distances, two n x (m - 1)
+    # float64 arrays; a third, a copy of the solution values, only when the
+    # reference splits the solutions.
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    n, m = 2000, 200
+    values = np.random.default_rng(1).integers(0, 50, (n, m)).astype(float)
+    labels = tuple(f"c{j}" for j in range(m))
+    table = sk.DataTable(values, tuple(map(str, range(n))), labels, labels[ref])
+    tracemalloc.start()
+    try:
+        detail = sk.detailed_srd(table)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 + copies < held / (n * (m - 1) * 8) < 2.5 + copies
+    assert np.shares_memory(detail.solution_values, table.values) == (not copies)
 
 
 class TestRankWorkers:

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import srdkit as sk
-from srdkit import SrdError, crossval
+from srdkit import SrdError, core, crossval
 from srdkit.crossval import BOX_ROWS
 from tests.conftest import (
     PUBLISHED_CATEGORIES,
@@ -136,11 +137,31 @@ class TestMakeFolds:
                 assert fold.dtype == np.intp and not fold.flags.writeable
 
     def test_scheme_keeps_its_own_copy_of_the_folds(self):
-        fold = np.array([0, 1, 2])
+        fold = np.array([0, 1, 2], dtype=np.intp)
         scheme = sk.FoldScheme("subsample", (fold,), 1)
+        assert fold.flags.writeable and not np.shares_memory(fold, scheme.rows[0])
         fold[0] = 7
         assert scheme.folds == ((0, 1, 2),)
         assert scheme == sk.FoldScheme("subsample", ((0, 1, 2),), 1)
+
+    def test_scheme_copies_the_rows_of_another_scheme(self):
+        drawn = sk.make_folds(17, 6, "half_split", seed=9)
+        again = sk.FoldScheme("half_split", drawn.rows, 6, 9)
+        assert not any(np.shares_memory(a, b) for a, b in zip(drawn.rows, again.rows))
+
+    def test_drawn_folds_are_kept_without_a_copy(self, monkeypatch):
+        # The scheme keeps the arrays make_folds drew, so drawing holds little
+        # more than the folds kept: a copy of each would double the peak.
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        tracemalloc.start()
+        try:
+            scheme = sk.make_folds(100_000, 8, seed=1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(fold.nbytes for fold in scheme.rows)
+        assert kept == 8 * 87_500 * np.dtype(np.intp).itemsize
+        assert kept <= held < 1.05 * kept and peak < 1.25 * kept
 
     def test_index_past_the_intp_range_rejected(self):
         # A plain cast to intp would turn 2**64 - 1 into row -1, the last row.

@@ -130,6 +130,52 @@ def test_scores_equal_per_column_computation(table):
 
 
 @st.composite
+def placed_reference_tables(draw):
+    """A tied table and its reference's index: the first, a middle or the last column."""
+    place = draw(st.sampled_from(["first", "middle", "last"]))
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(3 if place == "middle" else 2, 6))
+    values = draw(arrays(float, (n, m), elements=_CELLS))
+    if place == "middle":
+        ref = draw(st.integers(1, m - 2))
+    else:
+        ref = 0 if place == "first" else m - 1
+    labels = tuple(f"c{j}" for j in range(m))
+    return sk.DataTable(values, tuple(str(i) for i in range(n)), labels, labels[ref]), ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(placed_reference_tables())
+def test_detail_equals_per_column_ranking_and_shares_the_table(case):
+    table, ref = case
+    values, m = table.values, table.n_cols
+    sol = [j for j in range(m) if j != ref]
+    ranks = _per_column_ranks(values)
+    distances = np.abs(ranks[:, sol] - ranks[:, [ref]])
+    expected = {
+        "row_labels": table.row_labels,
+        "solution_labels": tuple(table.col_labels[j] for j in sol),
+        "reference_label": table.col_labels[ref],
+        "solution_values": values[:, sol],
+        "solution_ranks": ranks[:, sol],
+        "distances": distances,
+        "reference_values": values[:, ref],
+        "reference_ranks": ranks[:, ref],
+        "raw_srd": distances.sum(axis=0),
+    }
+    detail = sk.detailed_srd(table)
+    assert [f.name for f in dataclasses.fields(detail)] == list(expected)
+    assert _bits(detail) == _bits(list(expected.values()))  # -0.0 stays -0.0
+    assert np.shares_memory(detail.solution_values, values) == (ref in (0, m - 1))
+    assert np.shares_memory(detail.reference_values, values)
+    for result in (detail, sk.srd_values(table), sk.rank_matrix(table),
+                   sk.pairwise_srd(table)):
+        for f in dataclasses.fields(result):
+            value = getattr(result, f.name)
+            assert not isinstance(value, np.ndarray) or not value.flags.writeable
+
+
+@st.composite
 def tie_matrices(draw):
     """Heavily tied, tie-free and constant columns side by side, from 2 rows."""
     n = draw(st.integers(2, 40))
