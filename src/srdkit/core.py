@@ -287,7 +287,7 @@ class SrdDetail(_ArrayFields):
 
 
 class TieGroups:
-    """One sort of a matrix's columns: ranks of any row subset and tie frequencies.
+    """One sort of a matrix's columns, giving the ranks of any row subset.
 
     ``columns`` (a slice or a list of indices, all columns by default)
     selects the columns sorted, in that order; a rank-kernel worker sorts
@@ -343,11 +343,6 @@ class TieGroups:
         doubled -= counts
         doubled += 1
         return doubled.take(sub)
-
-    def tie_probabilities(self) -> np.ndarray:
-        """Per column, the share of its n - 1 adjacent sorted pairs that are tied."""
-        n = self.labels.shape[1]
-        return (n - np.diff(self.firsts, append=self.count)) / (n - 1)
 
 
 def fractional_ranks(values) -> np.ndarray:
@@ -498,17 +493,24 @@ def detailed_srd(table: DataTable) -> SrdDetail:
     )
 
 
+def _tie_shares(values: np.ndarray) -> np.ndarray:
+    """Per column of a finite (n, m) matrix, n >= 2, its tied sorted neighbours over n - 1."""
+    ordered = np.sort(values, axis=0)
+    return (ordered[1:] == ordered[:-1]).sum(axis=0) / (values.shape[0] - 1)
+
+
 def tie_probability(column) -> float | np.ndarray:
     """Fraction of adjacent positions in sorted order occupied by equal values.
 
     An n-long vector has n-1 adjacent positions, so the result is the
     number of tied neighbor pairs divided by n-1.  A 2-D input gives an
-    array with one value per column, from one sort of the matrix.
+    array with one value per column, from one sort of the matrix.  Equal
+    means equal as numbers, so -0.0 ties with 0.0.
     """
     arr = np.asarray(column, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[0] < 2 or arr.size == 0:
         raise SrdError("tie probability needs at least two values")
     if not np.all(np.isfinite(arr)):
         raise SrdError("tie probability requires finite values")
-    probs = TieGroups(arr.reshape(arr.shape[0], -1)).tie_probabilities()
+    probs = _tie_shares(arr.reshape(arr.shape[0], -1))
     return probs if arr.ndim == 2 else float(probs[0])

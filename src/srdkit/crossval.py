@@ -22,6 +22,7 @@ correctly rounded, so each statistic is the float that exact rationals give.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from bisect import bisect_left, bisect_right
@@ -264,22 +265,14 @@ def _over_one_denominator(values) -> tuple[list[int], int]:
     return [p * (common // q) for p, q in ratios], common
 
 
-def _signed_rank_tail(w_doubled: int, k: int, nulls: dict) -> float:
-    """Two-sided p of the signed-rank sum: 2 * P(W <= w) under the exact null.
-
-    ``w_doubled`` is twice the observed sum.  The null assigns random signs
-    to the integer ranks 1..k; when ties make the observed sum fractional
-    it is rounded up to the next attainable value, matching the classical
-    critical-value tables.  ``nulls`` keeps, per k, how many sign
-    assignments give each sum or less.
-    """
-    total = k * (k + 1) // 2
-    if k not in nulls:
-        nulls[k] = at_most = np.ones(total + 1, dtype=np.int64)  # the empty subset
-        for r in range(1, k + 1):  # rank r shifts cumulative counts as it does counts
-            at_most[r:] += at_most[:-r].copy()
-    w_star = min(-(-w_doubled // 2), total)
-    return min(1.0, 2.0 * float(nulls[k][w_star]) / 2.0**k)
+@functools.cache
+def _signed_rank_null(k: int) -> np.ndarray:
+    """Read-only: how many sign assignments of ranks 1..k give each sum 0..k(k + 1)/2 or less."""
+    at_most = np.ones(k * (k + 1) // 2 + 1, dtype=np.int64)  # the empty subset
+    for r in range(1, k + 1):  # rank r shifts cumulative counts as it does counts
+        at_most[r:] += at_most[:-r].copy()
+    at_most.flags.writeable = False
+    return at_most
 
 
 def _category(p: float) -> str:
@@ -305,14 +298,14 @@ def _check_signed_rank_folds(k: int) -> None:
                        f"got {k}")
 
 
-def wilcoxon_pair_test(a, b, *, nulls: dict | None = None) -> PairTestResult:
+def wilcoxon_pair_test(a, b) -> PairTestResult:
     """Signed-rank test between two solutions' fold scores.
 
     Zero differences are dropped; |differences| get average ranks; the
     reported statistic is |W+ - W-|.  With every difference zero the pair
     is degenerate: statistic 0 and no significance.  The exact null takes
-    5 to 62 folds, zero differences included; one ``nulls`` dict builds it
-    once per count of nonzero differences for every test it is passed to.
+    5 to 62 folds, zero differences included; it is built once per count
+    of nonzero differences in a process and kept for every later test.
     """
     d, _ = _paired_differences(a, b, "the signed-rank test")
     if len(d) < 5:
@@ -326,7 +319,10 @@ def wilcoxon_pair_test(a, b, *, nulls: dict | None = None) -> PairTestResult:
     w_plus = sum(bisect_left(magnitudes, x) + bisect_right(magnitudes, x) + 1
                  for x in d if x > 0)
     w_minus = len(d) * (len(d) + 1) - w_plus
-    p = _signed_rank_tail(min(w_plus, w_minus), len(d), {} if nulls is None else nulls)
+    # Two-sided p = 2 P(W <= w) for the smaller doubled sum; a tied, fractional
+    # sum is rounded up to the next attainable value, as the classical tables do.
+    w_star = min(-(-min(w_plus, w_minus) // 2), len(d) * (len(d) + 1) // 2)
+    p = min(1.0, 2.0 * float(_signed_rank_null(len(d))[w_star]) / 2.0**len(d))
     return PairTestResult(abs(w_plus - w_minus) / 2, p, _category(p))
 
 
@@ -429,11 +425,9 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
     order = tuple(int(j) for j in np.lexsort((np.arange(m), means, medians)))
 
     run_test = _PAIR_TESTS[test]
-    shared = {"nulls": {}} if test == "wilcoxon" else {}  # one null per count, per call
     columns = [_Scaled(column, common) for column in zip(*exact)]
-    pair_results = tuple(
-        run_test(columns[order[i]], columns[order[i + 1]], **shared) for i in range(m - 1)
-    )
+    pair_results = tuple(run_test(columns[order[i]], columns[order[i + 1]])
+                         for i in range(m - 1))
 
     # Min, the nearest-rank (ceil(p k)-th smallest) percentiles, and max.
     k = values.shape[0]

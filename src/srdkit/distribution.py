@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DataTable, SrdError, TieGroups, _ArrayFields, _in_workers,
-                   _reference_split, _worker_count, checked_count, checked_probability,
-                   checked_seed, fractional_ranks, max_srd)
+                   _reference_split, _tie_shares, _worker_count, checked_count,
+                   checked_probability, checked_seed, fractional_ranks, max_srd)
 
 OPTIONS = ("n", "r", "t", "p", "d", "f")
 
@@ -315,8 +315,25 @@ def _stripe(block: _Block, gens, first: int, stride: int, state: dict, phases, p
         block.doubled_srd(iter(gens), block_probs, sums[b])
 
 
+def _merged_counts(lo: int, counts: np.ndarray, values: np.ndarray) -> tuple[int, np.ndarray]:
+    """The histogram ``counts[i]`` of value ``lo + i``, with ``values`` counted too.
+
+    ``values`` (int64, consumed in place) are counted over the span they hit,
+    and the result spans both.
+    """
+    low = int(values.min())
+    part = np.bincount(np.subtract(values, low, out=values))
+    if not counts.size:
+        return low, part
+    start = min(lo, low)
+    merged = np.zeros(max(lo + counts.size, low + part.size) - start, dtype=np.int64)
+    merged[lo - start:lo - start + counts.size] = counts
+    merged[low - start:low - start + part.size] += part
+    return start, merged
+
+
 def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.ndarray,
-                  n_bins: int, workers: int) -> np.ndarray:
+                  workers: int) -> tuple[int, np.ndarray]:
     """Histogram of doubled raw SRD over the RNG sub-streams in ``chunks``.
 
     ``chunks`` holds a (size, seed sequence) pair per sub-stream.  ``ref2``
@@ -332,7 +349,8 @@ def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.n
     the same place whatever the block size.  Worker w (the calling thread is
     worker 0) draws blocks w, w + workers, ... of every sub-stream.  The
     calling thread seeds each sub-stream and counts its values once all
-    workers are done with it.
+    workers are done with it.  The histogram spans only the values drawn: it
+    is returned as (lowest value, counts).
     """
     tied = option not in ("n", "r")
     two = option in ("r", "t")  # two drawn rankings per sample
@@ -346,9 +364,10 @@ def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.n
     sums = np.empty((-(-largest // step), step), dtype=np.int64)
     # Per worker and phase, one generator; each block sets its state.
     gens = [[np.random.Generator(np.random.PCG64(0)) for _ in widths] for _ in range(workers)]
-    counts = np.zeros(n_bins, dtype=np.int64)
+    hist = 0, np.zeros(0, dtype=np.int64)
 
     def sub_streams():
+        nonlocal hist
         for size, seed_seq in chunks:
             rng = np.random.default_rng(seed_seq)
             if option == "d":  # the donor column of each sample
@@ -359,10 +378,10 @@ def _chunk_counts(option: str, n: int, chunks, ref2: np.ndarray, tie_probs: np.n
                       for start, width in zip(itertools.accumulate([0] + widths), widths)]
             args = (workers, rng.bit_generator.state, phases, probs, sums[:-(-size // step)])
             yield lambda w: _stripe(blocks[w], gens[w], w, *args)
-            np.add(counts, np.bincount(sums.reshape(-1)[:size], minlength=n_bins), out=counts)
+            hist = _merged_counts(*hist, sums.reshape(-1)[:size])
 
     _in_workers(workers, sub_streams())
-    return counts
+    return hist
 
 
 def generate_distribution(table: DataTable, option: str = "f",
@@ -383,8 +402,11 @@ def generate_distribution(table: DataTable, option: str = "f",
 
     The run is split into sub-streams of 65,536 samples seeded from
     ``seed``, and each sub-stream into row blocks of one size per call, at
-    most 65,536 values over all workers together, so working memory stays
-    at a few MB and does not grow with n up to 65,536.  One worker thread per
+    most 65,536 values over all workers together, so the block buffers stay
+    at a few MB and do not grow with n up to 65,536.  The histogram spans only
+    the doubled raw SRD values the samples hit, which grows with n but far
+    more slowly than the n^2 + 1 possible values (at n = 2,000, 2,000 samples
+    hit a span of about 260,000 of 4,000,001).  One worker thread per
     usable CPU, but no more than the blocks of a sub-stream, shares the
     blocks.  Neither blocks nor workers change the draws, so seeded results
     are bit-identical on any number of CPUs and to those of earlier versions.
@@ -405,30 +427,25 @@ def generate_distribution(table: DataTable, option: str = "f",
     samples = checked_count(samples, "sample count")
     seed = checked_seed(seed)
 
-    ref = table.col_labels.index(table.reference_label)
-    columns = [ref]
-    if option == "d":  # the donors are the solution columns; only 'd' sorts them
-        columns += _reference_split(table)[1]
-    groups = TieGroups(table.values[:, columns])
-    ref2 = groups.doubled_ranks()[0]
+    ref = table.values[:, [table.col_labels.index(table.reference_label)]]
+    ref2 = TieGroups(ref).doubled_ranks()[0]
     if option in ("t", "p"):
         tie_probs = np.full(1, tie_prob)
     elif option == "f":
-        tie_probs = groups.tie_probabilities()
-    elif option == "d":
-        tie_probs = groups.tie_probabilities()[1:]
+        tie_probs = _tie_shares(ref)
+    elif option == "d":  # the donors are the solution columns; only 'd' reads them
+        tie_probs = _tie_shares(table.values[:, _reference_split(table)[1]])
     else:
         tie_probs = np.zeros(1)
 
     f = max_srd(n)
-    n_bins = 2 * f + 1
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     chunks = [(min(_CHUNK, samples - i * _CHUNK), children[i]) for i in range(n_chunks)]
     blocks = -(-min(samples, _CHUNK) * n // _BLOCK)  # in the largest sub-stream
-    counts = _chunk_counts(option, n, chunks, ref2, tie_probs, n_bins, _worker_count(blocks))
+    lo, counts = _chunk_counts(option, n, chunks, ref2, tie_probs, _worker_count(blocks))
 
-    return _build_distribution(counts, samples, f, option=option, n_objects=n,
+    return _build_distribution(lo, counts, samples, f, option=option, n_objects=n,
                                seed=seed, tie_prob=tie_prob, exact=False)
 
 
@@ -467,13 +484,15 @@ def exact_distribution(n: int, reference=None) -> SrdDistribution:
         if t % 2 == 0:  # then the solution value t, facing open_refs open positions
             open_refs = rows - (t // 2 - 1) + np.count_nonzero(ref2 <= t)
             counts = np.roll(counts, (1, -t), (0, 1)) + np.roll(open_refs * counts, t, 1)
-    return _build_distribution(counts[0, low:], math.factorial(n), f, option="exact",
+    return _build_distribution(0, counts[0, low:], math.factorial(n), f, option="exact",
                                n_objects=n, seed=None, tie_prob=None, exact=True)
 
 
-def _build_distribution(counts: np.ndarray, total: int, f: int, **meta) -> SrdDistribution:
+def _build_distribution(lo: int, counts: np.ndarray, total: int, f: int,
+                        **meta) -> SrdDistribution:
+    """The distribution of doubled raw SRD ``lo + i`` seen ``counts[i]`` times in ``total``."""
     observed = np.nonzero(counts)[0]
-    support = observed / (2.0 * f) if f else np.zeros(observed.size)
+    support = (observed + lo) / (2.0 * f) if f else np.zeros(observed.size)
     frequency = counts[observed] / total
     thresholds = _thresholds_from_counts(support, counts[observed], total, f)
     return SrdDistribution(support=support, frequency=frequency,

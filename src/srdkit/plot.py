@@ -149,8 +149,8 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _axis(x0: float, y0: float, w: float, h: float, y_max: float = 1.0) -> list[str]:
-    """Left and bottom axis lines with 0..1 ticks (x) and 0..y_max ticks (y)."""
+def _axis(x0: float, y0: float, w: float, h: float) -> list[str]:
+    """Left and bottom axis lines with 0..1 ticks on both."""
     parts = [
         _tag("line", x1=_num(x0), y1=_num(y0 + h), x2=_num(x0 + w), y2=_num(y0 + h),
              stroke="#333333", stroke_width="1"),
@@ -167,7 +167,7 @@ def _axis(x0: float, y0: float, w: float, h: float, y_max: float = 1.0) -> list[
         y = y0 + h - frac * h
         parts.append(_tag("line", x1=_num(x0 - 4), y1=_num(y), x2=_num(x0),
                           y2=_num(y), stroke="#333333", stroke_width="1"))
-        parts.append(_tag("text", f"{frac * y_max:.1f}", x=_num(x0 - 7), y=_num(y + 3),
+        parts.append(_tag("text", f"{frac:.1f}", x=_num(x0 - 7), y=_num(y + 3),
                           font_size="10", text_anchor="end"))
     return parts
 

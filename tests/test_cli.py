@@ -109,8 +109,8 @@ def test_rankmatrix_file_text(capsys, tmp_path, tied_csv):
 
 def test_tieprob_file_text(capsys, tmp_path, tied_csv, monkeypatch):
     sorts = []  # one sort of the whole table
-    real = sk.core.TieGroups
-    monkeypatch.setattr(sk.core, "TieGroups",
+    real = sk.core._tie_shares
+    monkeypatch.setattr(sk.core, "_tie_shares",
                         lambda values: sorts.append(values.shape) or real(values))
     assert main(["tieprob", tied_csv, "-o", str(tmp_path / "t")]) == 0
     assert sorts == [(4, 3)]

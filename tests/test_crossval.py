@@ -355,6 +355,14 @@ class TestWilcoxonPairTest:
         result = sk.wilcoxon_pair_test(list(range(62)), [x + 0.5 for x in range(62)])
         assert result.p_value == 2 / 2**62
 
+    def test_null_is_shared_and_read_only(self):
+        # Every later test reads the same table, so no caller may change it.
+        null = crossval._signed_rank_null(4)
+        assert crossval._signed_rank_null(4) is null
+        assert null.tolist() == [1, 2, 3, 5, 7, 9, 11, 13, 14, 15, 16]
+        with pytest.raises(ValueError):
+            null[0] = 0
+
 
 class TestDietterichPairTest:
     def test_alternating_unit_differences(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -20,6 +21,34 @@ def _pair_table(n):
     return sk.from_columns(
         {"a": list(range(n)), "ref": list(range(n))}, reference="ref"
     )
+
+
+def _tied_table(n):
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=n)
+    return sk.from_columns({"a": np.round(z + rng.normal(size=n)),
+                            "b": np.round((z + rng.normal(size=n)) * 4) / 4,
+                            "ref": np.round(z * 2) / 2}, reference="ref")
+
+
+# Samples per n: two sub-streams at n = 2 and 18, several blocks at 120 and 2000.
+_DIGEST_SAMPLES = {2: 70_000, 18: 70_000, 120: 10_000, 2000: 2_000}
+# sha256 prefixes of support, frequency and thresholds at seeds 0, 1 and 2,
+# recorded when every call counted into a histogram of all n^2 + 1 values.
+_CRRN_DIGESTS = {
+    "n": {2: "af8a2d3a494338e8", 18: "10dde1d80220bb58", 120: "7fa64e8f790b774e",
+          2000: "513a165939bc68e9"},
+    "r": {2: "d3228f68b9786beb", 18: "ae0cf1d638f35970", 120: "f4cba85d5e6cf9a6",
+          2000: "703e2dba337c0f0f"},
+    "t": {2: "9c5b98386794024a", 18: "8afff619888d426d", 120: "89a6b171a63e5d52",
+          2000: "6b713a51866ea4c7"},
+    "p": {2: "6cc01255852f6cdb", 18: "b31bd328c6568495", 120: "b1819ea84eaa31b0",
+          2000: "3746fffab4c97904"},
+    "d": {2: "32b867baaa1fd5de", 18: "504be10ee51578f6", 120: "78ec66b0746638ab",
+          2000: "47831acbac214f60"},
+    "f": {2: "f9ec8fa980910212", 18: "05354dbc029fde41", 120: "ca0405ee833803fb",
+          2000: "08df750e4206c4f7"},
+}
 
 
 class TestRandomTiedRanking:
@@ -118,6 +147,22 @@ class TestGenerateDistribution:
         assert np.array_equal(a.support, b.support)
         assert np.array_equal(a.frequency, b.frequency)
         assert a.thresholds == b.thresholds
+
+    @pytest.mark.parametrize("option", distribution.OPTIONS)
+    def test_seeded_distributions_keep_their_digests(self, option, monkeypatch):
+        for n, samples in _DIGEST_SAMPLES.items():
+            table = _tied_table(n)
+            for cpus in (1, 2):
+                _usable_cpus(monkeypatch, cpus)
+                digest = hashlib.sha256()
+                for seed in (0, 1, 2):
+                    dist = sk.generate_distribution(
+                        table, option, tie_prob=0.3 if option in "tp" else None,
+                        samples=samples, seed=seed)
+                    digest.update(dist.support.tobytes())
+                    digest.update(dist.frequency.tobytes())
+                    digest.update(repr(dist.thresholds).encode())
+                assert digest.hexdigest()[:16] == _CRRN_DIGESTS[option][n], (n, cpus)
 
     def test_worker_count_does_not_change_the_result(self, bundesliga, monkeypatch):
         _usable_cpus(monkeypatch, 1)
@@ -222,15 +267,20 @@ class TestGenerateDistribution:
             assert shares == {blocks // workers}
 
     def test_only_option_d_sorts_the_solution_columns(self, mep, monkeypatch):
-        shapes = []
-        real = distribution.TieGroups
-        monkeypatch.setattr(distribution, "TieGroups",
-                            lambda values: shapes.append(values.shape) or real(values))
+        # The reference is ranked alone, and only options 'f' and 'd' count ties.
+        sorts = []
+        for name in ("TieGroups", "_tie_shares"):
+            real = getattr(distribution, name)
+            monkeypatch.setattr(distribution, name, lambda values, name=name, real=real:
+                                sorts.append((name, values.shape)) or real(values))
+        column = (mep.n_rows, 1)
         for option in distribution.OPTIONS:
-            shapes.clear()
+            sorts.clear()
             sk.generate_distribution(mep, option, tie_prob=0.2 if option in "tp" else None,
                                      samples=10, seed=1)
-            assert shapes == [mep.values.shape if option == "d" else (mep.n_rows, 1)]
+            ties = {"f": [("_tie_shares", column)],
+                    "d": [("_tie_shares", (mep.n_rows, mep.n_cols - 1))]}.get(option, [])
+            assert sorts == [("TieGroups", column)] + ties
 
     def test_equal_uniforms_keep_the_argsort_order(self):
         # Sorted keys cannot order equal uniforms as argsort does, so a block
@@ -335,6 +385,21 @@ class TestGenerateDistribution:
             finally:
                 tracemalloc.stop()
             assert peak < 16e6, (option, peak)
+
+    def test_histogram_memory_does_not_grow_with_n_squared(self, monkeypatch):
+        # The samples hit about 260,000 of the 4,000,001 doubled SRD values;
+        # a histogram of all of them took a traced peak of 65 MiB.
+        _usable_cpus(monkeypatch, 1)
+        rng = np.random.default_rng(5)
+        table = sk.from_columns({"a": rng.random(2000), "ref": rng.random(2000)},
+                                reference="ref")
+        tracemalloc.start()
+        try:
+            sk.generate_distribution(table, "f", samples=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestExactDistribution:

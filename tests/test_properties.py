@@ -189,7 +189,7 @@ def tie_matrices(draw):
 @example(np.array([[0.0, 1.0, 5.0], [-0.0, 2.0, 5.0]]))
 def test_tie_probabilities_equal_sorted_count(values):
     expected = _sorted_tie_shares(values)
-    assert np.array_equal(TieGroups(values).tie_probabilities(), expected)
+    assert np.array_equal(sk.tie_probability(values), expected)
     assert [sk.tie_probability(column) for column in values.T] == expected.tolist()
 
 
@@ -207,7 +207,7 @@ def test_tie_groups_rank_any_row_subset_of_any_columns(values, data):
                           2 * _per_column_ranks(picked[rows]).T)
     assert np.array_equal(groups.doubled_ranks(), 2 * _per_column_ranks(picked).T)
     distinct = [len(set(column.tolist())) for column in picked.T]  # -0.0 == 0.0
-    assert groups.tie_probabilities().tolist() == [(n - g) / (n - 1) for g in distinct]
+    assert core._tie_shares(picked).tolist() == [(n - g) / (n - 1) for g in distinct]
 
 
 @settings(max_examples=100, deadline=None)
@@ -622,6 +622,27 @@ def test_sampler_counts_equal_float_oracle(table, option, tie_prob, samples, blo
 def test_sampler_counts_equal_float_oracle_across_sub_streams(table, option, tie_prob,
                                                              samples, seed, workers):
     _check_against_oracle(table, option, tie_prob, samples, seed, workers)
+
+
+# A sub-stream's doubled SRD values: clustered near a base that may lie far
+# from the other sub-streams' bases.
+_SUB_STREAM = st.tuples(st.integers(0, 10**6), st.lists(st.integers(0, 50), min_size=1,
+                                                        max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SUB_STREAM, min_size=1, max_size=6))
+@example([(7, [0])])
+@example([(3, [0]), (900_000, [0]), (3, [0, 0])])
+@example([(500_000, [0, 1]), (0, [0]), (999_950, [49, 50])])
+def test_sub_stream_histograms_merge_to_one_bincount(parts):
+    values = [np.array([base + x for x in offsets], dtype=np.int64) for base, offsets in parts]
+    everything = np.concatenate(values)
+    lo, counts = 0, np.zeros(0, dtype=np.int64)
+    for part in values:
+        lo, counts = distribution._merged_counts(lo, counts, part)
+    assert lo == everything.min() and counts.dtype == np.int64
+    assert np.array_equal(counts, np.bincount(everything)[lo:])
 
 
 @pytest.mark.parametrize("option", distribution.OPTIONS)
