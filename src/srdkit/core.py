@@ -10,8 +10,11 @@ largest distance two rankings of that size can have.
 Every score takes one path: one sort of each range of solution columns, with
 the reference, into intp tie-group labels, then int64 sums of doubled ranks
 per row set.  Whole-table scores are the set of all rows; each fold is
-another.  Large tables split their columns over one worker thread per usable
-CPU; integer sums make every output the same for any number of workers.
+another.  Past a small size, the sort is of packed keys (argsorted where two
+values share a key), and a fold that keeps more rows than it drops is counted
+from the rows it drops.  Large tables split their columns over one worker
+thread per usable CPU; integer sums make every output the same for any
+number of workers.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ import numpy as np
 # Cells of a table per rank-kernel worker, at least: two threads scoring a
 # table of 2**16 cells or fewer ran no faster than one.
 _CELLS_PER_WORKER = 1 << 16
+# Cells below which the rank kernel argsorts and counts each fold's kept rows:
+# there the extra numpy calls of packed keys and dropped rows cost more.
+_SMALL_CELLS = 1 << 12
 
 
 class SrdError(ValueError):
@@ -295,7 +301,11 @@ class TieGroups:
     is labelled with its column's tie group.  Labels run across the selected
     columns, column after column and ascending by value within a column, so
     one ``bincount`` over a set of rows counts the selected members of every
-    group of every column at once.
+    group of every column at once.  From ``_SMALL_CELLS`` cells the sort is of
+    packed keys: each value's float64 bits, the lowest bit_length(n - 1) of
+    them replaced by its row index.  Equal values stay together (-0.0 beside
+    0.0); distinct ones that differ only in those bits may not, so if any
+    sorted column ever decreases, argsort sorts instead, as for fewer cells.
 
     ``labels`` is (m, n) intp for m selected columns of n rows: one contiguous
     row per column, gathered for a set of rows in one ``take``, and used by
@@ -307,15 +317,28 @@ class TieGroups:
     """
 
     def __init__(self, values: np.ndarray, columns=slice(None)) -> None:
-        cols = np.ascontiguousarray(values.T[columns])
+        cols = np.ascontiguousarray(values.T[columns], dtype=float)
         m, n = cols.shape
-        order = np.argsort(cols, axis=1)  # tied values need no stable order
-        order += n * np.arange(m)[:, None]
-        flat = order.ravel()
-        ordered = cols.take(flat)
-        del cols  # workers sort at once, so free each temporary once it is used
         starts = np.empty(m * n, dtype=bool)
-        starts[1:] = ordered[1:] != ordered[:-1]
+        packed = cols.size >= _SMALL_CELLS
+        if packed:
+            index_bits = (1 << (n - 1).bit_length()) - 1  # low key bits, for the row index
+            order = cols.view(np.int64) & ~index_bits
+            order |= np.arange(n)
+            order.view(np.float64).sort(axis=1)
+            order &= index_bits
+            order += n * np.arange(m)[:, None]
+            flat = order.ravel()
+            ordered = cols.take(flat)
+            np.less(ordered[1:], ordered[:-1], out=starts[1:])
+            starts[::n] = False
+        if not packed or starts.any():  # or distinct values shared their kept bits
+            order = np.argsort(cols, axis=1)  # tied values need no stable order
+            order += n * np.arange(m)[:, None]
+            flat = order.ravel()
+            ordered = cols.take(flat)
+        del cols  # workers sort at once, so free each temporary once it is used
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
         del ordered
         starts[::n] = True  # each column's smallest value opens a group
         labels = np.cumsum(starts, dtype=np.intp)
@@ -323,6 +346,8 @@ class TieGroups:
         labels -= 1
         groups = np.empty_like(labels)
         groups[flat] = labels
+        del order, flat  # so that the group sizes add nothing to the build's peak
+        self._sizes = np.bincount(labels)  # each group's size
         self.labels = groups.reshape(m, n)
         self.count = int(labels[-1]) + 1
         self.firsts = labels[::n].copy()
@@ -336,13 +361,24 @@ class TieGroups:
         is None.  Row j of the result is column j of the matrix.
         """
         sub = self.labels if rows is None else self.labels.take(rows, axis=1)
-        counts = np.bincount(sub.ravel(), minlength=self.count)
+        counts = self._sizes if rows is None else np.bincount(sub.ravel(), minlength=self.count)
+        return self._by_group(counts, sub.shape[1]).take(sub)
+
+    def _ranks_without(self, dropped: np.ndarray) -> np.ndarray:
+        """``doubled_ranks`` of the rows not ``dropped``, counted from the dropped
+        ones, at full (m, n) length; a dropped row holds no rank of its own."""
+        counts = np.bincount(self.labels.take(dropped, axis=1).ravel(), minlength=self.count)
+        np.subtract(self._sizes, counts, out=counts)
+        return self._by_group(counts, self.labels.shape[1] - dropped.size).take(self.labels)
+
+    def _by_group(self, counts: np.ndarray, k: int) -> np.ndarray:
+        """Each group's doubled rank, from its ``counts`` among k selected rows."""
         doubled = 2 * counts
-        doubled[self.firsts[1:]] -= 2 * sub.shape[1]  # restart each column's sum
+        doubled[self.firsts[1:]] -= 2 * k  # restart each column's sum
         np.cumsum(doubled, out=doubled)
         doubled -= counts
         doubled += 1
-        return doubled.take(sub)
+        return doubled
 
 
 def fractional_ranks(values) -> np.ndarray:
@@ -398,22 +434,38 @@ def _srd_units(table: DataTable, folds=(None,)) -> tuple[np.ndarray, list[int]]:
     None for all rows.  Doubling makes every rank, so every sum, an integer:
     two columns of k doubled ranks each sum to k(k + 1), so their L1 distance
     is 2k(k + 1) - 2 sum(min(a, b)).  Each worker sorts its range of solutions
-    with the reference and scores it on every row set.
+    with the reference and, on a table of ``_SMALL_CELLS`` cells or more,
+    lists the rows dropped by its share of the folds that keep more rows
+    than they drop; then it scores its range on every fold.
     """
     ref, sol = _reference_split(table)
+    n = table.n_rows
     units = np.empty((len(folds), len(sol)), dtype=np.int64)
     parts = _column_ranges(table, len(sol))
+    groups = [None] * len(parts)
+    dropped = [None] * len(folds)  # the rows left out by a fold that keeps most rows
+    large = table.values.size >= _SMALL_CELLS
+
+    def build(w: int) -> None:
+        groups[w] = TieGroups(table.values, sol[parts[w]] + [ref])
+        for i in range(w, len(folds), len(parts)):
+            if large and folds[i] is not None and 2 * folds[i].size > n:
+                kept = np.ones(n, dtype=bool)
+                kept[folds[i]] = False
+                dropped[i] = np.flatnonzero(kept)
 
     def score(w: int) -> None:
-        part = parts[w]
-        groups = TieGroups(table.values, sol[part] + [ref])
         for i, rows in enumerate(folds):
-            ranks = groups.doubled_ranks(rows)
-            k = ranks.shape[1]
+            if dropped[i] is None:
+                ranks = groups[w].doubled_ranks(rows)
+            else:  # a dropped row's reference rank of 0 makes its minima 0
+                ranks = groups[w]._ranks_without(dropped[i])
+                ranks[-1, dropped[i]] = 0
             low = np.minimum(ranks[:-1], ranks[-1], out=ranks[:-1])
-            units[i, part] = 2 * k * (k + 1) - 2 * low.sum(axis=1, dtype=np.int64)
+            k = n if rows is None else rows.size
+            units[i, parts[w]] = 2 * k * (k + 1) - 2 * low.sum(axis=1, dtype=np.int64)
 
-    _in_workers(len(parts), [score])
+    _in_workers(len(parts), [build, score])
     return units, sol
 
 

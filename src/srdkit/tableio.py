@@ -55,12 +55,13 @@ def _check_delimiter(delimiter: str) -> None:
 def _csv_rows(path: Path, delimiter: str) -> list[tuple[int, list[str]]]:
     """Every row of a delimited UTF-8 file, with the line number it ends on.
 
+    A leading byte-order mark, which some spreadsheets write, is skipped.
     Bytes that are not UTF-8 and fields beyond the csv module's size limit
     raise SrdError naming the file.
     """
     _check_delimiter(delimiter)
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=delimiter)
             return [(reader.line_num, row) for row in reader]
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srdkit as sk
-from srdkit import SrdError
+from srdkit import SrdError, cli
 from srdkit.crossval import TESTS
 from srdkit.tableio import (
     TableFileSpec,
@@ -19,6 +19,7 @@ from srdkit.tableio import (
     write_srd_result,
     write_table,
 )
+from tests.conftest import DATA
 
 
 class TestReadTable:
@@ -251,6 +252,11 @@ class TestReadReplay:
 _TABLE = b";a;b;ref\nr1;1;2;3\nr2;2;1;3\nr3;0.5;4;1\n"
 
 
+def _written(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
 def _spliced(base: bytes):
     """``base`` with one random stretch replaced by arbitrary bytes."""
     return st.tuples(st.integers(0, len(base)), st.integers(0, len(base)),
@@ -273,6 +279,26 @@ class TestHostileFiles:
         path.write_bytes(_REPLAY.encode().replace(b"fold_1", b"f" * 140_000))
         with pytest.raises(SrdError, match="long.csv: .*field limit"):
             read_replay(path)
+
+    def test_byte_order_mark_is_skipped_in_tables(self, tmp_path, capsys):
+        # Spreadsheets that save "CSV UTF-8" start the file with a BOM, which
+        # used to stay in the first label.
+        path = _written(tmp_path / "bom.csv", b"\xef\xbb\xbfa;b;c\n1;2;3\n2;1;3\n3;3;1\n")
+        table = read_table(TableFileSpec(path, has_row_names=False))
+        assert table.col_labels == ("a", "b", "c")
+        assert cli.main(["values", str(path), "--no-row-names", "--reference", "a",
+                         "--no-save"]) == 0
+        assert capsys.readouterr().out.split() == ["0.5000000", "1.0000000"]
+        with_names = _written(tmp_path / "bom_names.csv", b"\xef\xbb\xbf" + _TABLE)
+        assert read_table(with_names) == read_table(_written(tmp_path / "plain.csv", _TABLE))
+
+    def test_byte_order_mark_is_skipped_in_replay_files(self, tmp_path):
+        published = (DATA / "published_run_replay.csv").read_bytes()
+        path = tmp_path / "bom_replay.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + published)
+        test, scheme = read_replay(path)
+        assert (test, scheme) == read_replay(DATA / "published_run_replay.csv")
+        assert test == "wilcoxon" and scheme.k == 8
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.binary(max_size=200), _spliced(_TABLE)))

@@ -78,8 +78,10 @@ def _per_fold_units(table, scheme):
 @given(tables_with_folds())
 def test_fold_units_equal_per_fold_ranking(case):
     table, scheme = case
-    units, f_values, _ = _fold_raw_units(table, scheme)
-    assert np.array_equal(units, _per_fold_units(table, scheme))
+    for small in (core._SMALL_CELLS, 0):  # argsort and kept rows, or packed keys and dropped
+        with mock.patch.object(core, "_SMALL_CELLS", small):
+            units, f_values, _ = _fold_raw_units(table, scheme)
+        assert np.array_equal(units, _per_fold_units(table, scheme))
     assert f_values.tolist() == [len(f) ** 2 // 2 for f in scheme.folds]
 
 
@@ -201,13 +203,113 @@ def test_tie_groups_rank_any_row_subset_of_any_columns(values, data):
     n, m = values.shape
     cols = data.draw(st.permutations(range(m)))[:data.draw(st.integers(1, m))]
     rows = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
-    groups = TieGroups(values, cols)
     picked = values[:, cols]
-    assert np.array_equal(groups.doubled_ranks(np.array(rows, dtype=np.intp)),
-                          2 * _per_column_ranks(picked[rows]).T)
-    assert np.array_equal(groups.doubled_ranks(), 2 * _per_column_ranks(picked).T)
+    for small in (core._SMALL_CELLS, 0):  # argsort, or packed keys
+        with mock.patch.object(core, "_SMALL_CELLS", small):
+            groups = TieGroups(values, cols)
+        assert np.array_equal(groups.doubled_ranks(np.array(rows, dtype=np.intp)),
+                              2 * _per_column_ranks(picked[rows]).T)
+        assert np.array_equal(groups.doubled_ranks(), 2 * _per_column_ranks(picked).T)
     distinct = [len(set(column.tolist())) for column in picked.T]  # -0.0 == 0.0
     assert core._tie_shares(picked).tolist() == [(n - g) / (n - 1) for g in distinct]
+
+
+def _ulps(x, count, toward):
+    """``x`` and the ``count`` - 1 floats after it toward ``toward``."""
+    run = [x]
+    for _ in range(count - 1):
+        run.append(float(np.nextafter(run[-1], toward)))
+    return run
+
+
+# Runs of neighbouring floats differ only in their lowest bits, which a packed
+# sort key gives to the row index, so they collide in the kept bits; beside
+# them -0.0 and 0.0, the smallest subnormals, the smallest normal and the
+# float extremes.
+_KEY_CELLS = st.sampled_from(
+    _ulps(1.0, 5, 2.0) + _ulps(-3.0, 5, -4.0) + _ulps(-0.0, 4, -1.0) + _ulps(0.0, 4, 1.0)
+    + [2.2250738585072014e-308, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+       -2.5, 7.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70).flatmap(
+    lambda n: st.integers(1, 5).flatmap(lambda m: arrays(float, (n, m), elements=_KEY_CELLS))))
+@example(np.array([[np.nextafter(1.0, 2.0)], [1.0]]))
+def test_packed_key_sort_labels_and_ranks_equal_per_column_oracle(values):
+    with mock.patch.object(core, "_SMALL_CELLS", 0):
+        groups = TieGroups(values)
+    dense = np.array([rankdata(column, method="dense") - 1 for column in values.T])
+    firsts = np.cumsum([0] + [column.max() + 1 for column in dense])
+    assert np.array_equal(groups.labels, dense + firsts[:-1, None])
+    assert groups.firsts.tolist() == firsts[:-1].tolist() and groups.count == firsts[-1]
+    assert np.array_equal(groups._sizes, np.bincount(groups.labels.ravel()))
+    assert np.array_equal(groups.doubled_ranks(), 2 * _per_column_ranks(values).T)
+
+
+def _recording(calls, function):
+    """``function``, recording the shape of its first argument in ``calls``."""
+    def record(x, *args, **kwargs):
+        calls.append(x.shape)
+        return function(x, *args, **kwargs)
+    return record
+
+
+def test_key_collisions_fall_back_to_argsort():
+    # With two rows the row index takes one key bit, which is all 1.0 and the
+    # next float up differ in, so the key sort orders them by row.
+    up = np.nextafter(1.0, 2.0)
+    collided, in_order = np.array([[up, 5.0], [1.0, 5.0]]), np.array([[1.0, 5.0], [up, 5.0]])
+    expected = [2 * _per_column_ranks(v).T for v in (collided, in_order)]
+    calls = []
+    with mock.patch.object(core, "_SMALL_CELLS", 0), \
+            mock.patch.object(core.np, "argsort", _recording(calls, np.argsort)):
+        ranks = [TieGroups(v).doubled_ranks() for v in (collided, in_order)]
+    assert calls == [(2, 2)]  # the collided matrix only
+    assert all(np.array_equal(a, b) for a, b in zip(ranks, expected))
+
+
+def _tied_table(n, m, seed, ref):
+    values = np.random.default_rng(seed).integers(0, 5, size=(n, m)).astype(float)
+    labels = tuple(f"c{j}" for j in range(m))
+    return sk.DataTable(values, tuple(map(str, range(n))), labels, labels[ref])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [24, 23, 13, 12, 11, 2])  # of 24 rows: more, half, fewer
+def test_fold_units_from_kept_or_dropped_rows_equal_per_fold_ranking(size, cpus):
+    # A fold that keeps more rows than it drops is counted from its dropped
+    # rows, exactly half or fewer from its kept ones; indices come unsorted.
+    table = _tied_table(24, 6, size, ref=2)
+    rng = np.random.default_rng(size)
+    scheme = sk.FoldScheme("subsample", [rng.permutation(24)[:size] for _ in range(3)], 3)
+    with mock.patch.object(core, "_CELLS_PER_WORKER", 1), \
+            mock.patch.object(core, "_SMALL_CELLS", 0), \
+            mock.patch.object(core.os, "sched_getaffinity", create=True,
+                              new=lambda pid: set(range(cpus))):
+        units, _, _ = _fold_raw_units(table, scheme)
+    assert np.array_equal(units, _per_fold_units(table, scheme))
+
+
+@pytest.mark.parametrize("n, cpus", [(2003, 1), (2003, 2), (203, 1)])
+def test_drawn_subsample_folds_count_only_their_dropped_rows(n, cpus):
+    # 2003 x 5 is past _SMALL_CELLS, and 203 x 5 is not.
+    k = 8
+    table = _tied_table(n, 5, cpus, ref=4)
+    scheme = sk.make_folds(n, k, seed=cpus)
+    counted = []
+    with mock.patch.object(core, "_CELLS_PER_WORKER", 1), \
+            mock.patch.object(core.os, "sched_getaffinity", create=True,
+                              new=lambda pid: set(range(cpus))), \
+            mock.patch.object(core.np, "bincount", _recording(counted, np.bincount)):
+        units, _, _ = _fold_raw_units(table, scheme)
+    # Each worker counts its groups' sizes once over all rows as it sorts, then
+    # each fold once, over its solutions and the reference: one worker all
+    # five columns, two workers three each.
+    rows = -(-n // k) if n * 5 >= core._SMALL_CELLS else n - -(-n // k)
+    cols = 5 if cpus == 1 else 3
+    assert sorted(counted) == sorted([(cols * rows,)] * k * cpus + [(cols * n,)] * cpus)
+    assert np.array_equal(units, _per_fold_units(table, scheme))
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,6 +354,8 @@ def _kernel_outputs(table, test, seed):
 def test_rank_kernel_outputs_are_the_same_for_any_worker_count(table, test, seed):
     # With one worker per cell, every call with two or more usable CPUs splits
     # its columns; a table of two columns has fewer solutions than workers.
+    # Tables count as large, so workers also sort packed keys and share out
+    # the dropped rows of folds that keep most rows.
     threads = set()
     build = TieGroups.__init__
 
@@ -261,6 +365,7 @@ def test_rank_kernel_outputs_are_the_same_for_any_worker_count(table, test, seed
 
     outputs = []
     with mock.patch.object(core, "_CELLS_PER_WORKER", 1), \
+            mock.patch.object(core, "_SMALL_CELLS", 0), \
             mock.patch.object(TieGroups, "__init__", record):
         for cpus in (1, 2, 3, 4):
             threads.clear()
