@@ -9,6 +9,7 @@ tests between consecutively ranked solutions.
 
 from .core import (
     DataTable,
+    PairwiseMatrix,
     RankMatrix,
     SrdDetail,
     SrdError,
@@ -17,6 +18,7 @@ from .core import (
     fractional_ranks,
     from_columns,
     max_srd,
+    pairwise_srd,
     rank_matrix,
     srd_values,
     tie_probability,
@@ -48,26 +50,19 @@ from .distribution import (
 from .plot import (
     DEFAULT_PALETTE,
     ChartDocument,
-    PairwiseMatrix,
     Palette,
-    pairwise_srd,
     plot_crossval,
     plot_heatmap,
     plot_perm_test,
 )
 from .preprocess import ReferenceSpec, create_reference, preprocess_table
-from .tableio import (
-    TableFileSpec,
-    read_replay,
-    read_table,
-    write_chart_files,
-)
+from .tableio import read_replay, read_table, write_chart_files
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataTable", "RankMatrix", "SrdDetail", "SrdError", "SrdResult",
-    "detailed_srd", "fractional_ranks", "from_columns", "max_srd",
+    "DataTable", "PairwiseMatrix", "RankMatrix", "SrdDetail", "SrdError", "SrdResult",
+    "detailed_srd", "fractional_ranks", "from_columns", "max_srd", "pairwise_srd",
     "rank_matrix", "srd_values", "tie_probability", "transpose",
     "CrossValReport", "FoldScheme", "PairTestResult", "alpaydin_pair_test",
     "cross_validate", "crossval_srd", "dietterich_pair_test",
@@ -76,9 +71,9 @@ __all__ = [
     "CrrnVerdict", "SrdDistribution", "Thresholds", "classify",
     "exact_distribution", "extract_thresholds", "generate_distribution",
     "random_tied_ranking",
-    "DEFAULT_PALETTE", "ChartDocument", "PairwiseMatrix", "Palette",
-    "pairwise_srd", "plot_crossval", "plot_heatmap", "plot_perm_test",
+    "DEFAULT_PALETTE", "ChartDocument", "Palette",
+    "plot_crossval", "plot_heatmap", "plot_perm_test",
     "ReferenceSpec", "create_reference", "preprocess_table",
-    "TableFileSpec", "read_replay", "read_table", "write_chart_files",
+    "read_replay", "read_table", "write_chart_files",
     "__version__",
 ]

@@ -18,6 +18,7 @@ from .core import (
     SrdError,
     detailed_srd,
     max_srd,
+    pairwise_srd,
     rank_matrix,
     srd_values,
     tie_probability,
@@ -27,7 +28,6 @@ from .crossval import TESTS, cross_validate
 from .distribution import OPTIONS, classify, generate_distribution
 from .preprocess import PREPROCESS_METHODS, create_reference, preprocess_table
 from .tableio import (
-    TableFileSpec,
     delimited,
     grid,
     read_replay,
@@ -81,9 +81,7 @@ def _add_io_options(sub, with_reference=True):
 
 
 def _load_table(args, with_reference=True):
-    spec = TableFileSpec(args.input, args.delimiter,
-                         has_row_names=not args.no_row_names)
-    table = read_table(spec)
+    table = read_table(args.input, args.delimiter, has_row_names=not args.no_row_names)
     if args.transpose:
         table = transpose(table)
     if args.preprocess:
@@ -217,7 +215,7 @@ def _cmd_crossval(args):
 
 def _cmd_heatmap(args):
     table = _load_table(args, with_reference=False)
-    matrix = plotmod.pairwise_srd(table)
+    matrix = pairwise_srd(table)
     palette = plotmod.Palette(tuple(args.palette.split(","))) if args.palette else None
     doc = plotmod.plot_heatmap(matrix, palette)
     print(doc.data, end="")

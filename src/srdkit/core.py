@@ -12,9 +12,9 @@ the reference, into intp tie-group labels, then int64 sums of doubled ranks
 per row set.  Whole-table scores are the set of all rows; each fold is
 another.  Past a small size, the sort is of packed keys (argsorted where two
 values share a key), and a fold that keeps more rows than it drops is counted
-from the rows it drops.  Large tables split their columns over one worker
-thread per usable CPU; integer sums make every output the same for any
-number of workers.
+from the rows it drops.  Pairwise distances sort all columns the same way.
+Large tables split their columns over one worker thread per usable CPU;
+integer sums make every output the same for any number of workers.
 """
 
 from __future__ import annotations
@@ -292,6 +292,27 @@ class SrdDetail(_ArrayFields):
     raw_srd: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class PairwiseMatrix(_ArrayFields):
+    """Symmetric normalized SRD distances between all columns of a table.
+
+    Equal when labels and distances are; unhashable.
+    """
+
+    labels: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise SrdError("pairwise distance matrix must be square")
+        if len(self.labels) != values.shape[0]:
+            raise SrdError("one label per matrix row is required")
+        super().__post_init__()
+
+
 class TieGroups:
     """One sort of a matrix's columns, giving the ranks of any row subset.
 
@@ -543,6 +564,48 @@ def detailed_srd(table: DataTable) -> SrdDetail:
         reference_ranks=ranks[-1],
         raw_srd=raw,
     )
+
+
+def pairwise_srd(table: DataTable) -> PairwiseMatrix:
+    """Normalized SRD between every pair of columns.
+
+    Column j serves as the reference for entry (i, j); any designated
+    reference column participates like an ordinary column.  The result is
+    symmetric with a zero diagonal.  Each rank-kernel worker sorts one range
+    of columns into a shared matrix of doubled ranks, then takes every
+    workers-th row of the triangle; integer sums make the result the same for
+    any number of workers.
+    """
+    if table.n_cols < 2:
+        raise SrdError("pairwise distances need at least two columns")
+    # TieGroups' doubled ranks are integers up to 2n, one contiguous row per
+    # column, each summing to n(n + 1); a distance is 2n(n + 1) - 2 sum(min).
+    # The narrowest dtype keeps the m^2 / 2 column minima cheap: for n < 16384,
+    # int16 holds 2n and int32 every sum, as 2n(n + 1) < 2^31.
+    narrow = 2 * table.n_rows < 2**15
+    m, n = table.n_cols, table.n_rows
+    doubled = np.empty((m, n), dtype=np.int16 if narrow else np.int32)
+    total = np.int32 if narrow else np.int64
+    f2, rank_sums = 2 * max_srd(n), 2 * n * (n + 1)
+    values = np.zeros((m, m))
+    parts = _column_ranges(table, m)
+    workers = len(parts)
+
+    def rank(w: int) -> None:
+        doubled[parts[w]] = TieGroups(table.values, parts[w]).doubled_ranks()
+
+    def distances(w: int) -> None:
+        # n = 1 gives f2 = 0, but then every distance is 0 as well.  Integer
+        # sums make both triangles, filled from one row, exactly equal.
+        lows = np.empty((m - 1, n), dtype=doubled.dtype)
+        for i in range(w, m - 1 if f2 else 0, workers):
+            low = np.minimum(doubled[i + 1:], doubled[i], out=lows[:m - 1 - i])
+            d = (rank_sums - 2 * low.sum(axis=1, dtype=total)) / f2
+            values[i, i + 1:] = d
+            values[i + 1:, i] = d
+
+    _in_workers(workers, (rank, distances))
+    return PairwiseMatrix(table.col_labels, values)
 
 
 def _tie_shares(values: np.ndarray) -> np.ndarray:

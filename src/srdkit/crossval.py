@@ -385,13 +385,34 @@ _PAIR_TESTS = {
 }
 
 
+def _on_scheme_grid(fold_srd: list, scheme: FoldScheme) -> list:
+    """Floats on the scheme's grid as the integers u over d = 2 max_srd(n_i) they round from.
+
+    Only a matrix whose every entry is a float x with u = round(x d) and
+    u / d == x in float is read so; any other is returned as it is.
+    """
+    scaled = []
+    for row, fold in zip(fold_srd, scheme.rows):
+        row = row.tolist() if isinstance(row, np.ndarray) else row
+        d = 2 * max_srd(fold.size)
+        if not isinstance(row, (list, tuple)) or not all(  # an iterator is read only once
+                isinstance(x, float) and math.isfinite(x * d) for x in row):
+            return fold_srd
+        units = [round(x * d) for x in row]
+        if any(u / d != x for u, x in zip(units, row)):
+            return fold_srd
+        scaled.append(_Scaled(units, d))
+    return scaled
+
+
 def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
                    scheme: FoldScheme | None = None) -> CrossValReport:
     """Order solutions by median fold score and test adjacent pairs.
 
     ``fold_srd`` is a k x m matrix of fold scores in original solution
     order.  Entries may be Fractions, integers or floats; they are put over
-    one common denominator, so the pair tests see their exact values.
+    one common denominator, so the pair tests see their exact values, and
+    with a ``scheme`` the floats of ``crossval_srd`` are read on its grid.
     Ordering ties are broken by ascending mean, then original position.  A
     ``scheme`` has k folds, half splits for the paired-replication tests.
     """
@@ -399,6 +420,9 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
         raise SrdError(f"unknown test {test!r}; expected one of {', '.join(TESTS)}")
     if not isinstance(fold_srd, Iterable):
         raise SrdError(f"fold scores must be rows of numbers, got {fold_srd!r}")
+    fold_srd = list(fold_srd)
+    if scheme is not None and len(fold_srd) == scheme.k:
+        fold_srd = _on_scheme_grid(fold_srd, scheme)
     rows = [_over_one_denominator(row) for row in fold_srd]
     common = math.lcm(*(q for _, q in rows))
     exact = [[x * (common // q) for x in row] for row, q in rows]

@@ -11,13 +11,13 @@ from __future__ import annotations
 from importlib import resources
 
 from .core import DataTable
-from .tableio import TableFileSpec, read_table
+from .tableio import read_table
 
 
 def _load(name: str, reference: str) -> DataTable:
     path = resources.files("srdkit.data") / name
     with resources.as_file(path) as real_path:
-        table = read_table(TableFileSpec(real_path))
+        table = read_table(real_path)
     return table.with_reference(reference)
 
 

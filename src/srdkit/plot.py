@@ -13,8 +13,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .core import (DataTable, SrdError, SrdResult, TieGroups, _ArrayFields, _column_ranges,
-                   _in_workers, max_srd)
+# pairwise_srd, the heatmap's input, stays importable from here too.
+from .core import PairwiseMatrix, SrdError, SrdResult, pairwise_srd  # noqa: F401
 from .crossval import BOX_ROWS, CATEGORY_NONE, CrossValReport
 from .distribution import SrdDistribution
 from .tableio import delimited, grid
@@ -56,75 +56,12 @@ class Palette:
 DEFAULT_PALETTE = Palette(DEFAULT_PALETTE_COLORS)
 
 
-@dataclass(frozen=True, eq=False)
-class PairwiseMatrix(_ArrayFields):
-    """Symmetric normalized SRD distances between all columns of a table.
-
-    Equal when labels and distances are; unhashable.
-    """
-
-    labels: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise SrdError("pairwise distance matrix must be square")
-        if len(self.labels) != values.shape[0]:
-            raise SrdError("one label per matrix row is required")
-        super().__post_init__()
-
-
 @dataclass(frozen=True)
 class ChartDocument:
     """An SVG document plus the plotted numbers as delimited text."""
 
     svg: str
     data: str
-
-
-def pairwise_srd(table: DataTable) -> PairwiseMatrix:
-    """Normalized SRD between every pair of columns.
-
-    Column j serves as the reference for entry (i, j); any designated
-    reference column participates like an ordinary column.  The result is
-    symmetric with a zero diagonal.  Each rank-kernel worker sorts one range
-    of columns into a shared matrix of doubled ranks, then takes every
-    workers-th row of the triangle; integer sums make the result the same for
-    any number of workers.
-    """
-    if table.n_cols < 2:
-        raise SrdError("pairwise distances need at least two columns")
-    # TieGroups' doubled ranks are integers up to 2n, one contiguous row per
-    # column, each summing to n(n + 1); a distance is 2n(n + 1) - 2 sum(min).
-    # The narrowest dtype keeps the m^2 / 2 column minima cheap: for n < 16384,
-    # int16 holds 2n and int32 every sum, as 2n(n + 1) < 2^31.
-    narrow = 2 * table.n_rows < 2**15
-    m, n = table.n_cols, table.n_rows
-    doubled = np.empty((m, n), dtype=np.int16 if narrow else np.int32)
-    total = np.int32 if narrow else np.int64
-    f2, rank_sums = 2 * max_srd(n), 2 * n * (n + 1)
-    values = np.zeros((m, m))
-    parts = _column_ranges(table, m)
-    workers = len(parts)
-
-    def rank(w: int) -> None:
-        doubled[parts[w]] = TieGroups(table.values, parts[w]).doubled_ranks()
-
-    def distances(w: int) -> None:
-        # n = 1 gives f2 = 0, but then every distance is 0 as well.  Integer
-        # sums make both triangles, filled from one row, exactly equal.
-        lows = np.empty((m - 1, n), dtype=doubled.dtype)
-        for i in range(w, m - 1 if f2 else 0, workers):
-            low = np.minimum(doubled[i + 1:], doubled[i], out=lows[:m - 1 - i])
-            d = (rank_sums - 2 * low.sum(axis=1, dtype=total)) / f2
-            values[i, i + 1:] = d
-            values[i + 1:, i] = d
-
-    _in_workers(workers, (rank, distances))
-    return PairwiseMatrix(table.col_labels, values)
 
 
 def _num(x: float) -> str:

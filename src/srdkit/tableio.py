@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +26,6 @@ from .core import (
 )
 from .crossval import BOX_ROWS, CrossValReport, FoldScheme, TESTS
 from .distribution import SrdDistribution
-
-
-@dataclass(frozen=True)
-class TableFileSpec:
-    """Where and how to read a delimited table.
-
-    The first row is a header; with ``has_row_names`` the first column
-    holds the row labels and the header's corner cell is ignored.
-    """
-
-    path: str | Path
-    delimiter: str = ";"
-    has_row_names: bool = True
-
-    def __post_init__(self) -> None:
-        _check_delimiter(self.delimiter)
 
 
 def _check_delimiter(delimiter: str) -> None:
@@ -68,21 +51,21 @@ def _csv_rows(path: Path, delimiter: str) -> list[tuple[int, list[str]]]:
         raise SrdError(f"{path}: not readable as delimited UTF-8 text: {exc}") from None
 
 
-def read_table(spec: TableFileSpec | str | Path) -> DataTable:
+def read_table(path, delimiter: str = ";", has_row_names: bool = True) -> DataTable:
     """Parse a delimited file into a DataTable.
 
-    Rows must be rectangular; every data cell must parse as a finite real.
+    The first row is a header; with ``has_row_names`` the first column
+    holds the row labels and the header's corner cell is ignored.  Rows
+    must be rectangular; every data cell must parse as a finite real.
     Problems are reported with the offending row and column labels.
     """
-    if not isinstance(spec, TableFileSpec):
-        spec = TableFileSpec(spec)
-    path = Path(spec.path)
-    rows = [(line, row) for line, row in _csv_rows(path, spec.delimiter)
+    path = Path(path)
+    rows = [(line, row) for line, row in _csv_rows(path, delimiter)
             if any(cell.strip() for cell in row)]
     if len(rows) < 2:
         raise SrdError(f"{path}: need a header row and at least one data row")
     header = [cell.strip() for cell in rows[0][1]]
-    col_labels = header[1:] if spec.has_row_names else header
+    col_labels = header[1:] if has_row_names else header
     if not col_labels:
         raise SrdError(f"{path}: header defines no data columns")
     width = len(header)
@@ -94,7 +77,7 @@ def read_table(spec: TableFileSpec | str | Path) -> DataTable:
                 f"{path}: line {line} has {len(row)} fields, expected {width}"
             )
         cells = [cell.strip() for cell in row]
-        if spec.has_row_names:
+        if has_row_names:
             row_labels.append(cells[0])
             cells = cells[1:]
         else:
@@ -340,10 +323,8 @@ def write_pairwise(matrix, path, delimiter: str = ";") -> None:
     _write_text(path, delimited(rows, delimiter))
 
 
-def write_chart_files(doc, svg_path, data_path=None) -> None:
-    """Write a chart's SVG and its companion data file side by side."""
+def write_chart_files(doc, svg_path) -> None:
+    """Write a chart's SVG and its data beside it, as <stem>_data.csv."""
     svg_path = Path(svg_path)
-    if data_path is None:
-        data_path = svg_path.with_name(svg_path.stem + "_data.csv")
     _write_text(svg_path, doc.svg)
-    _write_text(data_path, doc.data)
+    _write_text(svg_path.with_name(svg_path.stem + "_data.csv"), doc.data)

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,16 @@ def srd_input_csv(tmp_path):
 def test_maxsrd_prints_the_normalizer(capsys):
     assert main(["maxsrd", "4"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # The documented `python -m srdkit.cli`, run from outside the checkout.
+    src = str(Path(sk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "srdkit.cli", "maxsrd", "4"], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "8\n", "")
 
 
 def test_values_prints_published_scores(capsys, tmp_path, bundesliga_csv):

@@ -505,6 +505,66 @@ class TestEvaluateFolds:
                                  scheme=sk.make_folds(10, 4, "half_split", seed=1)).scheme.k == 4
 
 
+class TestFloatMatrixOnTheSchemeGrid:
+    """``evaluate_folds`` on ``crossval_srd``'s floats agrees with ``cross_validate``."""
+
+    @pytest.mark.parametrize("test", crossval.TESTS)
+    def test_layered_route_equals_cross_validate(self, bundesliga, mep, test):
+        kind, k = ("subsample", 8) if test == "wilcoxon" else ("half_split", 10)
+        for table in (bundesliga, mep):
+            for seed in range(100):
+                scheme = sk.make_folds(table.n_rows, k, kind, seed)
+                report = sk.cross_validate(table, test, scheme=scheme)
+                layered = sk.evaluate_folds(sk.crossval_srd(table, scheme),
+                                            report.solution_labels, test, scheme)
+                assert layered.pair_results == report.pair_results, (table.n_rows, seed)
+                assert layered == report
+
+    @pytest.mark.parametrize("test", crossval.TESTS)
+    def test_report_fold_scores_reproduce_the_report(self, bundesliga, mep, test):
+        for table, seed in ((bundesliga, 28), (mep, 3)):
+            report = sk.cross_validate(table, test, seed=seed)
+            assert sk.evaluate_folds(report.fold_srd, report.solution_labels, test,
+                                     report.scheme) == report
+
+    def test_binary_values_split_a_tie_that_the_grid_keeps(self, bundesliga):
+        # Possession% and Shots pg tie in |difference| on the scheme's grid;
+        # read at their binary values the tie splits by an ulp.
+        scheme = sk.make_folds(bundesliga.n_rows, 8, "subsample", 28)
+        report = sk.cross_validate(bundesliga, scheme=scheme)
+        floats = sk.crossval_srd(bundesliga, scheme)
+        pair = report.column_order.index(2)
+        assert report.column_order[pair + 1] == 0
+        assert report.pair_results[pair] == crossval.PairTestResult(25.0, 0.109375, "n.s.")
+        binary = sk.evaluate_folds(floats, report.solution_labels).pair_results[pair]
+        assert binary == crossval.PairTestResult(26.0, 0.078125, "(p<0.1)")
+
+    def test_a_matrix_off_the_grid_is_read_at_its_exact_values(self, bundesliga):
+        scheme = sk.make_folds(bundesliga.n_rows, 8, "subsample", 28)
+        floats = sk.crossval_srd(bundesliga, scheme)
+        off = floats.copy()
+        off[3, 4] = np.nextafter(off[3, 4], 1.0)  # one entry off the grid
+        exact = [[Fraction(x) for x in row] for row in off.tolist()]
+        for matrix in (off, off.tolist(), exact):
+            read = sk.evaluate_folds(matrix, None, scheme=scheme)
+            assert read.pair_results == sk.evaluate_folds(exact, None).pair_results
+        # Fractions and integers are read as they are, on the grid or off it.
+        on_grid = [[Fraction(x).limit_denominator(224) for x in row] for row in floats.tolist()]
+        assert (sk.evaluate_folds(on_grid, None, scheme=scheme).pair_results
+                == sk.evaluate_folds(on_grid, None).pair_results)
+
+    def test_only_floats_are_read_on_the_grid(self):
+        scheme = sk.make_folds(10, 5, seed=1)  # 8 retained rows: a grid of 1/64
+        assert crossval._on_scheme_grid([[1, 0.5]] * 5, scheme) == [[1, 0.5]] * 5
+        assert crossval._on_scheme_grid([[0.25, 0.1]] * 5, scheme) == [[0.25, 0.1]] * 5
+        assert crossval._on_scheme_grid([[0.25, 1e307]] * 5, scheme) == [[0.25, 1e307]] * 5
+        assert sk.evaluate_folds([[0.25, 1e307]] * 5, None, scheme=scheme).fold_srd[0, 1] == 1e307
+        rows = iter([0.25, 0.5])
+        assert crossval._on_scheme_grid([rows] * 5, scheme)[0] is rows
+        scaled = crossval._on_scheme_grid(np.full((5, 2), 0.25), scheme)
+        assert [(tuple(row), row.denominator) for row in scaled] == [((16, 16), 64)] * 5
+
+
 class TestCrossValidate:
     def test_unknown_test_rejected(self, bundesliga):
         with pytest.raises(SrdError, match="unknown test 'sign'; expected one of"):

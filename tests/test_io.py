@@ -7,7 +7,6 @@ import srdkit as sk
 from srdkit import SrdError, cli
 from srdkit.crossval import TESTS
 from srdkit.tableio import (
-    TableFileSpec,
     delimited,
     read_replay,
     read_table,
@@ -60,7 +59,7 @@ class TestReadTable:
         with pytest.raises(SrdError, match="line 5 has 2 fields, expected 3"):
             read_table(path)
         path.write_text("a;b\n\n1;2\n\n3;4\n", encoding="utf-8")
-        table = read_table(TableFileSpec(path, has_row_names=False))
+        table = read_table(path, has_row_names=False)
         assert table.row_labels == ("1", "2")
         assert table.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
@@ -91,20 +90,20 @@ class TestReadTable:
     def test_comma_delimiter(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(",a,b\nr1,1,2\n", encoding="utf-8")
-        table = read_table(TableFileSpec(path, delimiter=","))
+        table = read_table(path, delimiter=",")
         assert table.values.tolist() == [[1.0, 2.0]]
 
     def test_no_row_names_mode(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("a;b\n1;2\n3;4\n", encoding="utf-8")
-        table = read_table(TableFileSpec(path, has_row_names=False))
+        table = read_table(path, has_row_names=False)
         assert table.col_labels == ("a", "b")
         assert table.row_labels == ("1", "2")
 
     @pytest.mark.parametrize("delim", [".", "\n", ";;", '"'])
     def test_invalid_delimiter_rejected(self, delim):
         with pytest.raises(SrdError, match="delimiter"):
-            TableFileSpec("x.csv", delimiter=delim)
+            read_table("x.csv", delimiter=delim)
 
     def test_quote_delimiter_rejected_by_every_reader_and_writer(self, tmp_path, bundesliga):
         # csv quotes with '"', so a report written with it would not read back.
@@ -192,6 +191,12 @@ class TestReadReplay:
         test, scheme = read_replay(path)
         assert test == "wilcoxon"
         assert scheme == sk.FoldScheme("subsample", ((0, 1, 2), (3, 4, 5)), 2, 7)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        plain, gaps = tmp_path / "plain.csv", tmp_path / "gaps.csv"
+        plain.write_text(_REPLAY)
+        gaps.write_text(_REPLAY.replace("k;2\n", "k;2\n\n") + "\n")
+        assert read_replay(gaps) == read_replay(plain)
 
     @pytest.mark.parametrize("old, new, message", [
         ("k;2", "k;eight", "line 3: 'k' must be an integer, got 'eight'"),
@@ -284,7 +289,7 @@ class TestHostileFiles:
         # Spreadsheets that save "CSV UTF-8" start the file with a BOM, which
         # used to stay in the first label.
         path = _written(tmp_path / "bom.csv", b"\xef\xbb\xbfa;b;c\n1;2;3\n2;1;3\n3;3;1\n")
-        table = read_table(TableFileSpec(path, has_row_names=False))
+        table = read_table(path, has_row_names=False)
         assert table.col_labels == ("a", "b", "c")
         assert cli.main(["values", str(path), "--no-row-names", "--reference", "a",
                          "--no-save"]) == 0
@@ -377,3 +382,16 @@ class TestReportFormats:
         assert lines[3] == "3;7;3;1;6;3;1;2;1;1.0;5;2"
         assert lines[4] == "4;8;4;0;10;4;0;3;2.5;1.5;7;4"
         assert lines[5] == "SRD;-;-;4;-;-;2;-;-;5.0;-;-"
+
+    def test_detail_values_off_the_half_grid_keep_seven_digits(self, tmp_path, bundesliga):
+        path = tmp_path / "standardized.csv"
+        write_detailed(sk.detailed_srd(sk.preprocess_table(bundesliga, "standardize")), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == ("Bayern Muenchen;3.091442;18;0.0;-2.043311;2;16.0;2.204657;18;0.0;"
+                            "1.833121;18;0.0;2.637606;18;0.0;1.113272;16.5;1.5;-2.231258;1;17.0;"
+                            "2.026631;18")
+        assert lines[2] == ("Bayer Leverkusen;0.2412833;13;3.0;0.583803;14;2.0;0.5780304;13;3.0;"
+                            "0.8986373;14;2.0;1.341472;17;1.0;-0.2847904;6.5;9.5;-0.9182485;5;"
+                            "11.0;1.150048;16")
+        assert lines[-1] == ("SRD;-;-;55.0;-;-;114.0;-;-;51.0;-;-;64.0;-;-;98.0;-;-;107.0;-;-;"
+                             "144.0;-;-")
