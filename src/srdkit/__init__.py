@@ -55,7 +55,7 @@ from .plot import (
     plot_heatmap,
     plot_perm_test,
 )
-from .preprocess import ReferenceSpec, create_reference, preprocess_table
+from .preprocess import create_reference, preprocess_table
 from .tableio import read_replay, read_table, write_chart_files
 
 __version__ = "0.1.0"
@@ -73,7 +73,7 @@ __all__ = [
     "random_tied_ranking",
     "DEFAULT_PALETTE", "ChartDocument", "Palette",
     "plot_crossval", "plot_heatmap", "plot_perm_test",
-    "ReferenceSpec", "create_reference", "preprocess_table",
+    "create_reference", "preprocess_table",
     "read_replay", "read_table", "write_chart_files",
     "__version__",
 ]

@@ -10,8 +10,8 @@ largest distance two rankings of that size can have.
 Every score takes one path: one sort of each range of solution columns, with
 the reference, into intp tie-group labels, then int64 sums of doubled ranks
 per row set.  Whole-table scores are the set of all rows; each fold is
-another.  Past a small size, the sort is of packed keys (argsorted where two
-values share a key), and a fold that keeps more rows than it drops is counted
+another.  The sort is of packed keys, argsorted only where two distinct
+values share a key, and a fold that keeps more rows than it drops is counted
 from the rows it drops.  Pairwise distances sort all columns the same way.
 Large tables split their columns over one worker thread per usable CPU;
 integer sums make every output the same for any number of workers.
@@ -29,9 +29,6 @@ import numpy as np
 # Cells of a table per rank-kernel worker, at least: two threads scoring a
 # table of 2**16 cells or fewer ran no faster than one.
 _CELLS_PER_WORKER = 1 << 16
-# Cells below which the rank kernel argsorts and counts each fold's kept rows:
-# there the extra numpy calls of packed keys and dropped rows cost more.
-_SMALL_CELLS = 1 << 12
 
 
 class SrdError(ValueError):
@@ -187,21 +184,6 @@ class DataTable(_ArrayFields):
         """Return a copy with ``label`` designated as the reference column."""
         return replace(self, reference=label)
 
-    def select_rows(self, indices) -> "DataTable":
-        """Return the sub-table with the given rows (0 .. n_rows - 1), in the given order."""
-        idx = list(indices)
-        if len(idx) == 0:
-            raise SrdError("cannot select an empty set of rows")
-        for i in idx:
-            if (isinstance(i, bool) or not isinstance(i, numbers.Integral)
-                    or not 0 <= i < self.n_rows):
-                raise SrdError(f"row index {i!r} is not an integer in 0..{self.n_rows - 1}")
-        return replace(
-            self,
-            values=self.values[idx, :],
-            row_labels=tuple(self.row_labels[i] for i in idx),
-        )
-
 
 def from_columns(columns: dict[str, list[float]],
                  row_labels=None,
@@ -235,14 +217,6 @@ class RankMatrix(_ArrayFields):
     ranks: np.ndarray
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-
-    @property
-    def n_rows(self) -> int:
-        return self.ranks.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.ranks.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,11 +296,11 @@ class TieGroups:
     is labelled with its column's tie group.  Labels run across the selected
     columns, column after column and ascending by value within a column, so
     one ``bincount`` over a set of rows counts the selected members of every
-    group of every column at once.  From ``_SMALL_CELLS`` cells the sort is of
-    packed keys: each value's float64 bits, the lowest bit_length(n - 1) of
-    them replaced by its row index.  Equal values stay together (-0.0 beside
-    0.0); distinct ones that differ only in those bits may not, so if any
-    sorted column ever decreases, argsort sorts instead, as for fewer cells.
+    group of every column at once.  The sort is of packed keys: each value's
+    float64 bits, the lowest bit_length(n - 1) of them replaced by its row
+    index.  Equal values stay together (-0.0 beside 0.0); distinct ones that
+    differ only in those bits may not, so if any sorted column ever
+    decreases, argsort sorts instead.
 
     ``labels`` is (m, n) intp for m selected columns of n rows: one contiguous
     row per column, gathered for a set of rows in one ``take``, and used by
@@ -341,19 +315,17 @@ class TieGroups:
         cols = np.ascontiguousarray(values.T[columns], dtype=float)
         m, n = cols.shape
         starts = np.empty(m * n, dtype=bool)
-        packed = cols.size >= _SMALL_CELLS
-        if packed:
-            index_bits = (1 << (n - 1).bit_length()) - 1  # low key bits, for the row index
-            order = cols.view(np.int64) & ~index_bits
-            order |= np.arange(n)
-            order.view(np.float64).sort(axis=1)
-            order &= index_bits
-            order += n * np.arange(m)[:, None]
-            flat = order.ravel()
-            ordered = cols.take(flat)
-            np.less(ordered[1:], ordered[:-1], out=starts[1:])
-            starts[::n] = False
-        if not packed or starts.any():  # or distinct values shared their kept bits
+        index_bits = (1 << (n - 1).bit_length()) - 1  # low key bits, for the row index
+        order = cols.view(np.int64) & ~index_bits
+        order |= np.arange(n)
+        order.view(np.float64).sort(axis=1)
+        order &= index_bits
+        order += n * np.arange(m)[:, None]
+        flat = order.ravel()
+        ordered = cols.take(flat)
+        np.less(ordered[1:], ordered[:-1], out=starts[1:])
+        starts[::n] = False
+        if starts.any():  # distinct values shared their kept bits
             order = np.argsort(cols, axis=1)  # tied values need no stable order
             order += n * np.arange(m)[:, None]
             flat = order.ravel()
@@ -455,9 +427,10 @@ def _srd_units(table: DataTable, folds=(None,)) -> tuple[np.ndarray, list[int]]:
     None for all rows.  Doubling makes every rank, so every sum, an integer:
     two columns of k doubled ranks each sum to k(k + 1), so their L1 distance
     is 2k(k + 1) - 2 sum(min(a, b)).  Each worker sorts its range of solutions
-    with the reference and, on a table of ``_SMALL_CELLS`` cells or more,
-    lists the rows dropped by its share of the folds that keep more rows
-    than they drop; then it scores its range on every fold.
+    with the reference and lists the rows dropped by its share of the folds
+    that keep more rows than they drop; then it scores its range on every
+    fold, counting such a fold from the rows it drops and any other from the
+    rows it keeps.
     """
     ref, sol = _reference_split(table)
     n = table.n_rows
@@ -465,12 +438,11 @@ def _srd_units(table: DataTable, folds=(None,)) -> tuple[np.ndarray, list[int]]:
     parts = _column_ranges(table, len(sol))
     groups = [None] * len(parts)
     dropped = [None] * len(folds)  # the rows left out by a fold that keeps most rows
-    large = table.values.size >= _SMALL_CELLS
 
     def build(w: int) -> None:
         groups[w] = TieGroups(table.values, sol[parts[w]] + [ref])
         for i in range(w, len(folds), len(parts)):
-            if large and folds[i] is not None and 2 * folds[i].size > n:
+            if folds[i] is not None and 2 * folds[i].size > n:
                 kept = np.ones(n, dtype=bool)
                 kept[folds[i]] = False
                 dropped[i] = np.flatnonzero(kept)

@@ -337,8 +337,6 @@ def _replications(a, b, test_name: str) -> tuple[list[int], int, int, int]:
     # s_i^2 = (d1 - mean)^2 + (d2 - mean)^2 = (d1 - d2)^2 / 2: the pooled
     # spread is this sum over 2 * denominator^2.
     spread = sum((d[i] - d[i + 1]) ** 2 for i in range(0, len(d), 2))
-    if spread == 0:
-        raise SrdError("degenerate variance: no spread within replications")
     return d, common, r, spread
 
 
@@ -347,9 +345,13 @@ def dietterich_pair_test(a, b) -> PairTestResult:
 
     Folds are consumed as k/2 replications of two halves each; the
     statistic is the first difference over the pooled within-replication
-    spread, referred to a t distribution with k/2 degrees of freedom.
+    spread, referred to a t distribution with k/2 degrees of freedom.  With
+    no spread within replications the pair is degenerate: statistic 0 and
+    no significance, as for the signed-rank test's all-zero pair.
     """
     d, common, r, spread = _replications(a, b, "the paired t test")
+    if not spread:
+        return PairTestResult(0.0, 1.0, CATEGORY_NONE)
     # Unlike W and F, t is not scale-free in floating point: round the first
     # difference and the pooled spread to floats before combining them.
     try:
@@ -366,9 +368,13 @@ def alpaydin_pair_test(a, b) -> PairTestResult:
 
     The sum of all squared differences over twice the pooled
     within-replication spread, referred to an F distribution with
-    (k, k/2) degrees of freedom; the upper tail is one-sided.
+    (k, k/2) degrees of freedom; the upper tail is one-sided.  With no
+    spread within replications the pair is degenerate: statistic 0 and no
+    significance, as for the signed-rank test's all-zero pair.
     """
     d, _, r, spread = _replications(a, b, "the paired F test")
+    if not spread:
+        return PairTestResult(0.0, 1.0, CATEGORY_NONE)
     try:
         f_stat = sum(x * x for x in d) / spread
     except OverflowError:
@@ -413,8 +419,9 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
     order.  Entries may be Fractions, integers or floats; they are put over
     one common denominator, so the pair tests see their exact values, and
     with a ``scheme`` the floats of ``crossval_srd`` are read on its grid.
-    Ordering ties are broken by ascending mean, then original position.  A
-    ``scheme`` has k folds, half splits for the paired-replication tests.
+    The order is decided on those exact values: ascending median, ties
+    broken by ascending mean, then original position.  A ``scheme`` has k
+    folds, half splits for the paired-replication tests.
     """
     if test not in TESTS:
         raise SrdError(f"unknown test {test!r}; expected one of {', '.join(TESTS)}")
@@ -442,24 +449,24 @@ def evaluate_folds(fold_srd, solution_labels, test: str = "wilcoxon",
     labels = tuple(solution_labels) if solution_labels is not None else tuple(
         f"solution_{j + 1}" for j in range(m)
     )
-    values = np.array([[x / common for x in row] for row in exact])
-
-    medians = np.median(values, axis=0)
-    means = values.mean(axis=0)
-    order = tuple(int(j) for j in np.lexsort((np.arange(m), means, medians)))
+    columns = [_Scaled(column, common) for column in zip(*exact)]
+    ordered = [sorted(column) for column in columns]
+    # Over the one denominator, the two middle numerators sum to twice the
+    # median and the column sums to k times the mean: exact ordering keys.
+    k = len(exact)
+    order = tuple(sorted(range(m), key=lambda j: (
+        ordered[j][(k - 1) // 2] + ordered[j][k // 2], sum(ordered[j]), j)))
 
     run_test = _PAIR_TESTS[test]
-    columns = [_Scaled(column, common) for column in zip(*exact)]
     pair_results = tuple(run_test(columns[order[i]], columns[order[i + 1]])
                          for i in range(m - 1))
 
     # Min, the nearest-rank (ceil(p k)-th smallest) percentiles, and max.
-    k = values.shape[0]
     kth = [1] + [max(1, math.ceil(p * k)) for p in (0.05, 0.25, 0.50, 0.75, 0.95)] + [k]
-    box = np.sort(values, axis=0)[[i - 1 for i in kth]]
+    box = np.array([[column[i - 1] / common for column in ordered] for i in kth])
 
     return CrossValReport(
-        fold_srd=values,
+        fold_srd=np.array([[x / common for x in row] for row in exact]),
         solution_labels=labels,
         column_order=order,
         pair_results=pair_results,

@@ -8,7 +8,7 @@ compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,37 +18,6 @@ PREPROCESS_METHODS = ("scale_to_unit", "standardize", "range_scale", "scale_to_m
 REFERENCE_KINDS = ("max", "min", "median", "mean")
 
 REFERENCE_COLUMN = "refCol"
-
-
-@dataclass(frozen=True)
-class ReferenceSpec:
-    """How to aggregate each row into a synthesized reference value.
-
-    ``kind`` is one of max, min, median, mean, or mixed; ``per_row`` gives
-    one of the first four per row and is required exactly when kind is
-    mixed.
-    """
-
-    kind: str
-    per_row: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in REFERENCE_KINDS + ("mixed",):
-            raise SrdError(
-                f"unknown reference method {self.kind!r}; "
-                f"expected one of {', '.join(REFERENCE_KINDS + ('mixed',))}"
-            )
-        if self.kind == "mixed":
-            if not self.per_row:
-                raise SrdError("mixed reference needs a per-row method list, "
-                               "e.g. mixed:max,min,mean,mean")
-            object.__setattr__(self, "per_row", tuple(self.per_row))
-            bad = sorted({m for m in self.per_row if m not in REFERENCE_KINDS})
-            if bad:
-                raise SrdError("unknown per-row reference method(s): "
-                               + ", ".join(map(repr, bad)))
-        elif self.per_row is not None:
-            raise SrdError(f"per-row methods only apply to mixed, not to {self.kind!r}")
 
 
 def _scale_to_unit(col: np.ndarray, label: str) -> np.ndarray:
@@ -110,23 +79,37 @@ _ROW_STATS = {
 }
 
 
-def create_reference(table: DataTable, spec: ReferenceSpec | str) -> DataTable:
+def create_reference(table: DataTable, spec: str) -> DataTable:
     """Append a synthesized reference column named "refCol".
 
-    Each row of the new column aggregates that row's solution values with
-    the requested statistic (or the per-row statistic under mixed).  A
-    string ``spec`` is ``KIND`` or ``mixed:m1,m2,...``, one method per row.
+    ``spec`` is ``KIND``, one of max, min, median or mean, or
+    ``mixed:m1,m2,...`` with one of those four methods per row.  Each row of
+    the new column aggregates that row's solution values with its method.
     The input table is not modified; the result designates "refCol" as its
     reference.
     """
-    if isinstance(spec, str):
-        kind, sep, methods = spec.partition(":")
-        spec = ReferenceSpec(kind, tuple(methods.split(",")) if sep else None)
-    elif not isinstance(spec, ReferenceSpec):
-        raise SrdError(f"reference spec must be a string or ReferenceSpec, got {spec!r}")
+    if not isinstance(spec, str):
+        raise SrdError(f"reference spec must be a string, got {spec!r}")
+    kind, sep, listed = spec.partition(":")
+    if kind not in REFERENCE_KINDS + ("mixed",):
+        raise SrdError(
+            f"unknown reference method {kind!r}; "
+            f"expected one of {', '.join(REFERENCE_KINDS + ('mixed',))}"
+        )
+    if kind != "mixed":
+        if sep:
+            raise SrdError(f"per-row methods only apply to mixed, not to {kind!r}")
+        methods = (kind,) * table.n_rows
+    else:
+        if not sep:
+            raise SrdError("mixed reference needs a per-row method list, "
+                           "e.g. mixed:max,min,mean,mean")
+        methods = listed.split(",")
+        bad = sorted({m for m in methods if m not in REFERENCE_KINDS})
+        if bad:
+            raise SrdError("unknown per-row reference method(s): " + ", ".join(map(repr, bad)))
     if REFERENCE_COLUMN in table.col_labels:
         raise SrdError(f"table already has a {REFERENCE_COLUMN!r} column")
-    methods = spec.per_row or (spec.kind,) * table.n_rows
     if len(methods) != table.n_rows:
         raise SrdError(f"mixed reference lists {len(methods)} methods "
                        f"for {table.n_rows} rows")

@@ -43,9 +43,7 @@ def mep():
 def srd_input():
     """The 4-row teaching table with its mixed-method reference attached."""
     table = sk.from_columns({"A": [2, 5, 7, 8], "B": [5, 1, 6, 10], "C": [6, 3, 2, 3]})
-    return sk.create_reference(
-        table, sk.ReferenceSpec("mixed", ("max", "min", "mean", "mean"))
-    )
+    return sk.create_reference(table, "mixed:max,min,mean,mean")
 
 
 @pytest.fixture(scope="session")

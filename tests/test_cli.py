@@ -286,6 +286,16 @@ def test_crossval_beyond_signed_rank_fold_limit_exits_two(capsys, tmp_path):
     assert err.startswith("srd: error: the signed-rank test supports at most 62 folds")
 
 
+def test_crossval_paired_test_on_twin_columns_exits_zero(capsys, tmp_path):
+    # Two identically ranked solutions have no spread within replications.
+    path = tmp_path / "twins.csv"
+    twin = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]
+    write_table(sk.from_columns({"a": twin, "b": twin, "ref": list(range(12))}), path)
+    assert main(["crossval", str(path), "--test", "alpaydin", "--seed", "7", "--no-save"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "n.s." in captured.out
+
+
 @pytest.mark.parametrize("old, new, line", [
     ("k;8", "k;eight", "line 3"),
     ("fold_2;", "fold_2;2.5;", "line 6"),

@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import tracemalloc
 
 import numpy as np
@@ -93,10 +92,6 @@ class TestDataTable:
         with pytest.raises(SrdError, match="no column named 'z'"):
             sk.from_columns({"a": [1, 2]}).column("z")
 
-    def test_select_no_rows_rejected(self):
-        with pytest.raises(SrdError, match="cannot select an empty set of rows"):
-            sk.from_columns({"a": [1, 2]}).select_rows([])
-
     def test_values_are_immutable(self):
         table = sk.from_columns({"a": [1, 2]})
         with pytest.raises(ValueError):
@@ -115,18 +110,6 @@ class TestDataTable:
         assert table.reference is None
         assert table.reference_label == "b"
 
-    def test_select_rows(self):
-        table = sk.from_columns({"a": [1, 2, 3]}, row_labels=("x", "y", "z"))
-        sub = table.select_rows([2, 0])
-        assert sub.row_labels == ("z", "x")
-        assert sub.values[:, 0].tolist() == [3, 1]
-        assert table.select_rows(np.array([1])).row_labels == ("y",)
-
-    @pytest.mark.parametrize("bad", [-1, 3, 2**64, 1.0, True, "0", None])
-    def test_select_rows_rejects_bad_index(self, bad):
-        table = sk.from_columns({"a": [1, 2, 3]}, row_labels=("x", "y", "z"))
-        with pytest.raises(SrdError, match=rf"row index {re.escape(repr(bad))} is not"):
-            table.select_rows([0, bad])
 
     def test_transpose_swaps_labels_and_drops_reference(self):
         table = sk.from_columns({"a": [1, 2], "b": [3, 4]}, reference="b")

@@ -378,8 +378,8 @@ class TestDietterichPairTest:
         assert result.category == "n.s."
 
     def test_equal_differences_are_degenerate(self):
-        with pytest.raises(SrdError, match="degenerate variance"):
-            sk.dietterich_pair_test([2, 2, 2, 2], [1, 1, 1, 1])
+        result = sk.dietterich_pair_test([2, 2, 2, 2], [1, 1, 1, 1])
+        assert result == sk.PairTestResult(0.0, 1.0, "n.s.")
 
     def test_swapping_sides_negates_t(self):
         rng = np.random.default_rng(8)
@@ -414,12 +414,12 @@ class TestAlpaydinPairTest:
         assert result.category == "n.s."
 
     def test_all_zero_differences_are_degenerate(self):
-        with pytest.raises(SrdError, match="degenerate variance"):
-            sk.alpaydin_pair_test([1, 2, 3, 4], [1, 2, 3, 4])
+        result = sk.alpaydin_pair_test([1, 2, 3, 4], [1, 2, 3, 4])
+        assert result == sk.PairTestResult(0.0, 1.0, "n.s.")
 
     def test_constant_nonzero_differences_are_degenerate(self):
-        with pytest.raises(SrdError, match="degenerate variance"):
-            sk.alpaydin_pair_test([3, 3, 3, 3], [1, 1, 1, 1])
+        result = sk.alpaydin_pair_test([3, 3, 3, 3], [1, 1, 1, 1])
+        assert result == sk.PairTestResult(0.0, 1.0, "n.s.")
 
     def test_statistic_beyond_the_float_range_rejected(self):
         with pytest.raises(SrdError, match="paired F statistic is beyond the float range"):
@@ -451,6 +451,13 @@ class TestEvaluateFolds:
         box = report.box_summary
         for r in range(box.shape[0] - 1):
             assert np.all(box[r, :] <= box[r + 1, :])
+
+    def test_scores_near_the_float_limit_order_without_a_warning(self):
+        # A column of 1e308 sums past the float range; the order reads only
+        # exact keys, and pytest turns a RuntimeWarning into an error.
+        report = sk.evaluate_folds([[0.25, 1e308]] * 5, None)
+        assert report.column_order == (0, 1)
+        assert report.box_summary[:, 1].tolist() == [1e308] * len(BOX_ROWS)
 
     def test_default_labels(self):
         report = sk.evaluate_folds([[0.1, 0.2]] * 5, None)
@@ -596,7 +603,8 @@ class TestCrossValidate:
         assert sk.cross_validate(bundesliga, test="alpaydin", seed=0).scheme.k == 10
         assert sk.cross_validate(bundesliga, test="dietterich", seed=0).scheme.kind == "half_split"
 
-    def test_identical_solutions_sit_adjacent_with_degenerate_test(self):
+    @staticmethod
+    def _twin_pair(test):
         table = sk.from_columns(
             {
                 "twin_a": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8],
@@ -605,12 +613,25 @@ class TestCrossValidate:
             },
             reference="ref",
         )
-        report = sk.cross_validate(table, k=6, seed=21)
+        report = sk.cross_validate(table, test, k=6, seed=21)
         i = report.column_order.index(0)
         j = report.column_order.index(1)
         assert abs(i - j) == 1
-        pair = report.pair_results[min(i, j)]
+        return report.pair_results[min(i, j)]
+
+    def test_identical_solutions_sit_adjacent_with_degenerate_test(self):
+        pair = self._twin_pair("wilcoxon")
         assert pair.statistic == 0 and pair.category == "n.s."
+
+    @pytest.mark.parametrize("test", ["dietterich", "alpaydin"])
+    def test_identical_solutions_pass_the_paired_tests_as_degenerate(self, test):
+        # Twin columns have no spread within replications.
+        pair = self._twin_pair(test)
+        assert pair.statistic == 0 and pair.category == "n.s."
+
+    def test_profile_table_run_with_a_degenerate_pair(self, mep):
+        report = sk.cross_validate(mep, "alpaydin", seed=3265389455)
+        assert sk.PairTestResult(0.0, 1.0, "n.s.") in report.pair_results
 
     def test_fold_values_stay_on_their_grid(self, bundesliga):
         report = sk.cross_validate(bundesliga, k=8, seed=22)

@@ -78,10 +78,8 @@ def _per_fold_units(table, scheme):
 @given(tables_with_folds())
 def test_fold_units_equal_per_fold_ranking(case):
     table, scheme = case
-    for small in (core._SMALL_CELLS, 0):  # argsort and kept rows, or packed keys and dropped
-        with mock.patch.object(core, "_SMALL_CELLS", small):
-            units, f_values, _ = _fold_raw_units(table, scheme)
-        assert np.array_equal(units, _per_fold_units(table, scheme))
+    units, f_values, _ = _fold_raw_units(table, scheme)
+    assert np.array_equal(units, _per_fold_units(table, scheme))
     assert f_values.tolist() == [len(f) ** 2 // 2 for f in scheme.folds]
 
 
@@ -204,12 +202,10 @@ def test_tie_groups_rank_any_row_subset_of_any_columns(values, data):
     cols = data.draw(st.permutations(range(m)))[:data.draw(st.integers(1, m))]
     rows = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
     picked = values[:, cols]
-    for small in (core._SMALL_CELLS, 0):  # argsort, or packed keys
-        with mock.patch.object(core, "_SMALL_CELLS", small):
-            groups = TieGroups(values, cols)
-        assert np.array_equal(groups.doubled_ranks(np.array(rows, dtype=np.intp)),
-                              2 * _per_column_ranks(picked[rows]).T)
-        assert np.array_equal(groups.doubled_ranks(), 2 * _per_column_ranks(picked).T)
+    groups = TieGroups(values, cols)
+    assert np.array_equal(groups.doubled_ranks(np.array(rows, dtype=np.intp)),
+                          2 * _per_column_ranks(picked[rows]).T)
+    assert np.array_equal(groups.doubled_ranks(), 2 * _per_column_ranks(picked).T)
     distinct = [len(set(column.tolist())) for column in picked.T]  # -0.0 == 0.0
     assert core._tie_shares(picked).tolist() == [(n - g) / (n - 1) for g in distinct]
 
@@ -237,8 +233,7 @@ _KEY_CELLS = st.sampled_from(
     lambda n: st.integers(1, 5).flatmap(lambda m: arrays(float, (n, m), elements=_KEY_CELLS))))
 @example(np.array([[np.nextafter(1.0, 2.0)], [1.0]]))
 def test_packed_key_sort_labels_and_ranks_equal_per_column_oracle(values):
-    with mock.patch.object(core, "_SMALL_CELLS", 0):
-        groups = TieGroups(values)
+    groups = TieGroups(values)
     dense = np.array([rankdata(column, method="dense") - 1 for column in values.T])
     firsts = np.cumsum([0] + [column.max() + 1 for column in dense])
     assert np.array_equal(groups.labels, dense + firsts[:-1, None])
@@ -262,8 +257,7 @@ def test_key_collisions_fall_back_to_argsort():
     collided, in_order = np.array([[up, 5.0], [1.0, 5.0]]), np.array([[1.0, 5.0], [up, 5.0]])
     expected = [2 * _per_column_ranks(v).T for v in (collided, in_order)]
     calls = []
-    with mock.patch.object(core, "_SMALL_CELLS", 0), \
-            mock.patch.object(core.np, "argsort", _recording(calls, np.argsort)):
+    with mock.patch.object(core.np, "argsort", _recording(calls, np.argsort)):
         ranks = [TieGroups(v).doubled_ranks() for v in (collided, in_order)]
     assert calls == [(2, 2)]  # the collided matrix only
     assert all(np.array_equal(a, b) for a, b in zip(ranks, expected))
@@ -284,7 +278,6 @@ def test_fold_units_from_kept_or_dropped_rows_equal_per_fold_ranking(size, cpus)
     rng = np.random.default_rng(size)
     scheme = sk.FoldScheme("subsample", [rng.permutation(24)[:size] for _ in range(3)], 3)
     with mock.patch.object(core, "_CELLS_PER_WORKER", 1), \
-            mock.patch.object(core, "_SMALL_CELLS", 0), \
             mock.patch.object(core.os, "sched_getaffinity", create=True,
                               new=lambda pid: set(range(cpus))):
         units, _, _ = _fold_raw_units(table, scheme)
@@ -293,7 +286,6 @@ def test_fold_units_from_kept_or_dropped_rows_equal_per_fold_ranking(size, cpus)
 
 @pytest.mark.parametrize("n, cpus", [(2003, 1), (2003, 2), (203, 1)])
 def test_drawn_subsample_folds_count_only_their_dropped_rows(n, cpus):
-    # 2003 x 5 is past _SMALL_CELLS, and 203 x 5 is not.
     k = 8
     table = _tied_table(n, 5, cpus, ref=4)
     scheme = sk.make_folds(n, k, seed=cpus)
@@ -306,7 +298,7 @@ def test_drawn_subsample_folds_count_only_their_dropped_rows(n, cpus):
     # Each worker counts its groups' sizes once over all rows as it sorts, then
     # each fold once, over its solutions and the reference: one worker all
     # five columns, two workers three each.
-    rows = -(-n // k) if n * 5 >= core._SMALL_CELLS else n - -(-n // k)
+    rows = -(-n // k)
     cols = 5 if cpus == 1 else 3
     assert sorted(counted) == sorted([(cols * rows,)] * k * cpus + [(cols * n,)] * cpus)
     assert np.array_equal(units, _per_fold_units(table, scheme))
@@ -338,13 +330,9 @@ def _kernel_outputs(table, test, seed):
         everything = sk.FoldScheme("subsample", [range(table.n_rows)], 1)
         outputs.append(sk.crossval_srd(table, everything))
     if table.n_rows >= 5:
-        try:
-            report = sk.cross_validate(table, test, k=5 if test == "wilcoxon" else 4, seed=seed)
-        except sk.SrdError as exc:  # no spread within replications
-            outputs.append(str(exc))
-        else:
-            outputs += [report, sk.crossval_srd(table, report.scheme),
-                        render_crossval_report(report)]
+        report = sk.cross_validate(table, test, k=5 if test == "wilcoxon" else 4, seed=seed)
+        outputs += [report, sk.crossval_srd(table, report.scheme),
+                    render_crossval_report(report)]
     return _bits(outputs)
 
 
@@ -354,8 +342,7 @@ def _kernel_outputs(table, test, seed):
 def test_rank_kernel_outputs_are_the_same_for_any_worker_count(table, test, seed):
     # With one worker per cell, every call with two or more usable CPUs splits
     # its columns; a table of two columns has fewer solutions than workers.
-    # Tables count as large, so workers also sort packed keys and share out
-    # the dropped rows of folds that keep most rows.
+    # Workers also share out the dropped rows of folds that keep most rows.
     threads = set()
     build = TieGroups.__init__
 
@@ -365,7 +352,6 @@ def test_rank_kernel_outputs_are_the_same_for_any_worker_count(table, test, seed
 
     outputs = []
     with mock.patch.object(core, "_CELLS_PER_WORKER", 1), \
-            mock.patch.object(core, "_SMALL_CELLS", 0), \
             mock.patch.object(TieGroups, "__init__", record):
         for cpus in (1, 2, 3, 4):
             threads.clear()
@@ -467,7 +453,7 @@ def _oracle_dietterich(a, b) -> sk.PairTestResult:
     r = _check_replications(d, "the paired t test")
     spread = _replication_spread(d)
     if spread == 0:
-        raise sk.SrdError("degenerate variance: no spread within replications")
+        return sk.PairTestResult(0.0, 1.0, crossval.CATEGORY_NONE)
     t_stat = float(d[0]) / math.sqrt(float(spread) / r)
     p = 2.0 * float(t_distribution.sf(abs(t_stat), r))
     return sk.PairTestResult(t_stat, p, _category(p))
@@ -478,7 +464,7 @@ def _oracle_alpaydin(a, b) -> sk.PairTestResult:
     r = _check_replications(d, "the paired F test")
     spread = _replication_spread(d)
     if spread == 0:
-        raise sk.SrdError("degenerate variance: no spread within replications")
+        return sk.PairTestResult(0.0, 1.0, crossval.CATEGORY_NONE)
     f_stat = float(sum(x * x for x in d) / (2 * spread))
     p = float(f_distribution.sf(f_stat, 2 * r, r))
     return sk.PairTestResult(f_stat, p, _category(p))
@@ -496,14 +482,21 @@ def _nearest_rank(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[kth - 1])
 
 
+def _oracle_order(exact):
+    """Columns of a Fraction fold matrix by ascending median, then mean, then position."""
+    def key(j):
+        column = sorted(row[j] for row in exact)
+        k = len(column)
+        return (column[(k - 1) // 2] + column[k // 2]) / 2, sum(column) / k, j
+    return tuple(sorted(range(len(exact[0])), key=key))
+
+
 def _oracle_evaluate(fold_srd, test):
     """(values, column order, pair results, box summary) as evaluate_folds gave them."""
     exact = [[_to_fraction(x) for x in row] for row in fold_srd]
     m = len(exact[0])
     values = np.array([[float(x) for x in row] for row in exact])
-    medians = np.median(values, axis=0)
-    means = values.mean(axis=0)
-    order = tuple(int(j) for j in np.lexsort((np.arange(m), means, medians)))
+    order = _oracle_order(exact)
     run_test = _ORACLE_TESTS[test][1]
     pair_results = tuple(
         run_test([row[order[i]] for row in exact], [row[order[i + 1]] for row in exact])
@@ -586,6 +579,47 @@ def test_evaluate_folds_equals_fraction_oracle(matrix, test):
     assert report.column_order == order
     assert report.pair_results == pair_results
     assert np.array_equal(report.box_summary, box)
+
+
+@st.composite
+def tied_fold_columns(draw):
+    """A k x m matrix of Fractions over one denominator whose columns tie often.
+
+    Each column is a shuffled copy of one sorted base column, spread at its
+    extremes (same median and mean), spread about its middle pair (the same
+    too while that pair stays in the middle) and raised at its top (same
+    median, larger mean).  Large numerators make the floats of such equal
+    medians and means differ in their last bits.
+    """
+    k = draw(st.integers(5, 12))
+    denominator = draw(st.sampled_from([1, 7, 224, 2 * 10**9 + 2, 3**40]))
+    base = sorted(draw(st.lists(st.integers(2**41, 2**60), min_size=k, max_size=k)))
+    columns = []
+    for _ in range(draw(st.integers(2, 6))):
+        column = list(base)
+        outer, middle, top = (draw(st.sampled_from([0, 0, 1, 3, 2**40])) for _ in range(3))
+        column[0] -= outer
+        column[-1] += outer + top
+        if k % 2 == 0:
+            column[k // 2 - 1] -= middle
+            column[k // 2] += middle
+        columns.append(draw(st.permutations(column)))
+    return [[Fraction(column[i], denominator) for column in columns] for i in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_fold_columns())
+def test_column_order_equals_exact_oracle_under_forced_ties(matrix):
+    assert sk.evaluate_folds(matrix, None).column_order == _oracle_order(matrix)
+
+
+@pytest.mark.parametrize("seed", [79, 306])
+def test_bundesliga_orders_equal_exact_oracle(bundesliga, seed):
+    # Runs in which two columns share an exact median whose floats differ.
+    report = sk.cross_validate(bundesliga, seed=seed)
+    units, f_values, _ = _fold_raw_units(bundesliga, report.scheme)
+    exact = [[Fraction(int(u), int(2 * f)) for u in row] for row, f in zip(units, f_values)]
+    assert report.column_order == _oracle_order(exact)
 
 
 @settings(max_examples=80, deadline=None)
